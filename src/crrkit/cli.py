@@ -19,6 +19,7 @@ from .division import DivideResult, divide, group_bound_report
 from .errors import AttemptsExhaustedError, CrrError, GroupBoundError, ParseError
 from .moduli import format_base_line, pairwise_coprime, parse_base_line, prime_base
 from .reconstruct import (
+    chain_weights,
     classical_coefficients,
     coprime_form_attempts,
     default_n2_bound,
@@ -401,13 +402,7 @@ def _self_egcd_counts(rng):
 def _self_telescoping(rng):
     base = prime_base(12)
     _, chain = sequential_coefficients(base)
-    weights = [0] * len(base.moduli)
-    suffix = 1
-    for i in range(len(base.moduli) - 1, 0, -1):
-        alpha, beta = chain.pairs[i - 1]
-        weights[i] = beta * suffix
-        suffix *= alpha
-    weights[0] = suffix
+    weights = chain_weights(chain)
     total = sum(w * (base.product // m) for w, m in zip(weights, base.moduli))
     _ensure(total == 1, "telescoping identity")
 

@@ -19,9 +19,7 @@ floor(n / log2 n); its group bound is only guaranteed from n = 64 up, so an
 """
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import GroupBoundError
@@ -104,14 +102,17 @@ def build_scaler(y: int, base: ModuliBase) -> Scaler:
         raise ValueError("scaler requires y >= 2")
     if y == 2:
         return Scaler(0, 1, 2)
-    prefix = base.prefix_products
-    j = bisect_right(prefix, y) - 1
-    if j >= len(base.moduli):
+    moduli = base.moduli
+    j, prefix = 0, 1
+    while j < len(moduli) and prefix * moduli[j] <= y:
+        prefix *= moduli[j]
+        j += 1
+    if j == len(moduli):
         raise ValueError("moduli base too short to bracket the divisor")
     k = 1
-    while (prefix[j] << k) <= y:
+    while (prefix << k) <= y:
         k += 1
-    value = prefix[j] << k
+    value = prefix << k
     if not y < value <= 2 * y:
         raise RuntimeError("scaler window violated")
     return Scaler(j, k, value)
@@ -161,23 +162,14 @@ def series_numerators(y: int, scale: int, groups) -> tuple[int, ...]:
     return tuple(numerators)
 
 
-def _suffix_products(groups: tuple[int, ...]) -> tuple[int, ...]:
-    suffix = [1] * (len(groups) + 1)
-    for i in range(len(groups) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] * groups[i]
-    return tuple(suffix)
-
-
-def _series_from(numerators, suffix) -> tuple[int, int]:
-    denominator = suffix[0]
-    total = denominator
-    prefix = 1
-    for i, t in enumerate(numerators):
-        if t == 0:
-            break
-        prefix *= t
-        total += prefix * suffix[i + 1]
-    return total, denominator
+def _series_from(numerators, groups) -> tuple[int, int]:
+    # Horner form from the last group inward: 1 + (t/A) * (num/den) is
+    # (A*den + t*num) / (A*den), so every step is small-by-big and the final
+    # denominator is exactly prod(groups).
+    numerator = denominator = 1
+    for t, a in zip(reversed(numerators), reversed(groups)):
+        numerator, denominator = a * denominator + t * numerator, a * denominator
+    return numerator, denominator
 
 
 def reciprocal_series(numerators, groups) -> tuple[int, int]:
@@ -193,21 +185,7 @@ def reciprocal_series(numerators, groups) -> tuple[int, int]:
         raise ValueError("groups must be positive")
     if any(t < 0 for t in numerators):
         raise ValueError("numerators must be non-negative")
-    return _series_from(numerators, _suffix_products(groups))
-
-
-@dataclass(frozen=True)
-class UnderApprox:
-    """One-sided rational approximation: target - value stays in [0, 2**-bits]."""
-
-    value: Fraction
-    target: Fraction
-    bits: int
-
-    @property
-    def holds(self) -> bool:
-        gap = self.target - self.value
-        return 0 <= gap <= Fraction(1, 1 << self.bits)
+    return _series_from(numerators, groups)
 
 
 @dataclass(frozen=True, repr=False)
@@ -255,7 +233,7 @@ def _static_parts(n: int, mode: str):
         raise RuntimeError("moduli budget cannot hold the groups")
     base = prime_base(total)
     groups = build_groups(n, base, size)
-    return base, size, groups, _suffix_products(groups)
+    return base, size, groups
 
 
 def _check_series_bound(y: int, scale: int, series: tuple[int, int], bits: int):
@@ -274,10 +252,10 @@ def build_plan(y: int, n: int, mode: str = "adaptive") -> DivisionPlan:
     _require_bit_size(n)
     if not 2 <= y < 1 << n:
         raise ValueError("divisor out of range for the bit size")
-    base, size, groups, suffix = _static_parts(n, mode)
+    base, size, groups = _static_parts(n, mode)
     scaler = build_scaler(y, base)
     numerators = series_numerators(y, scaler.value, groups)
-    series = _series_from(numerators, suffix)
+    series = _series_from(numerators, groups)
     _check_series_bound(y, scaler.value, series, n)
     return DivisionPlan(n, base, size, scaler, groups, numerators, series)
 

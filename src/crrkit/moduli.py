@@ -1,16 +1,17 @@
 """Prime moduli bases: generation, validation, and the base text line.
 
 A base is an ordered tuple of pairwise-coprime moduli together with its
-eagerly computed product and prefix products.  The canonical generated base
-consists of consecutive primes starting at 5, so that every modulus is odd
-and coprime to 3.
+product.  Its prefix products take O(r**2) bits in all, so they are built
+only on first use and take no part in equality or hashing.  The canonical
+generated base consists of consecutive primes starting at 5, so that every
+modulus is odd and coprime to 3.
 """
 
 import math
 import re
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import ParseError, PrimeLimitError
 
@@ -53,15 +54,10 @@ def nth_prime(index: int) -> int:
 
 @dataclass(frozen=True, repr=False)
 class ModuliBase:
-    """Ordered pairwise-coprime moduli with cached products.
-
-    ``prefix_products[j]`` is the product of the first ``j`` moduli, so
-    ``prefix_products[0] == 1`` and ``prefix_products[-1] == product``.
-    """
+    """Ordered pairwise-coprime moduli and their product."""
 
     moduli: tuple[int, ...]
     product: int
-    prefix_products: tuple[int, ...]
 
     @classmethod
     def from_moduli(cls, moduli, check_coprime: bool = True) -> "ModuliBase":
@@ -72,10 +68,19 @@ class ModuliBase:
             raise ValueError("moduli must be at least 2")
         if check_coprime and not pairwise_coprime(mods):
             raise ValueError("moduli must be pairwise coprime")
+        return cls(mods, math.prod(mods))
+
+    @cached_property
+    def prefix_products(self) -> tuple[int, ...]:
+        """``prefix_products[j]`` is the product of the first ``j`` moduli.
+
+        So ``prefix_products[0] == 1`` and ``prefix_products[-1] == product``.
+        Built on first access and kept on the instance.
+        """
         prefixes = [1]
-        for m in mods:
+        for m in self.moduli:
             prefixes.append(prefixes[-1] * m)
-        return cls(mods, prefixes[-1], tuple(prefixes))
+        return tuple(prefixes)
 
     def __len__(self) -> int:
         return len(self.moduli)

@@ -92,25 +92,43 @@ def sequential_coefficients(base: ModuliBase) -> tuple[CrtCoefficients, BezoutCh
     """Weights from a chain of Bezout identities: r - 1 extended-gcd calls.
 
     Step j relates modulus j to the product of all earlier moduli; the weight
-    for position i is beta_i times the product of the later alphas, kept exact
-    until the final reduction.
+    for position i is beta_i times the product of the later alphas, mod m_i.
+    The running product of alphas is only ever used modulo earlier moduli, so
+    it is reduced modulo their product at each step; :func:`chain_weights`
+    keeps it exact.
     """
     counter = EgcdCounter()
     moduli = base.moduli
+    prefixes = base.prefix_products
     r = len(moduli)
     pairs = []
     for j in range(1, r):
-        _, alpha, beta = counter.egcd(moduli[j], base.prefix_products[j])
+        _, alpha, beta = counter.egcd(moduli[j], prefixes[j])
         pairs.append((alpha, beta))
     weights = [0] * r
     suffix = 1
     for i in range(r - 1, 0, -1):
         alpha, beta = pairs[i - 1]
         weights[i] = beta * suffix % moduli[i]
-        suffix *= alpha
+        suffix = suffix * alpha % prefixes[i]
     weights[0] = suffix % moduli[0]
     coefficients = CrtCoefficients(base, tuple(weights), "sequential", counter.calls)
     return coefficients, BezoutChain(tuple(pairs))
+
+
+def chain_weights(chain: BezoutChain) -> tuple[int, ...]:
+    """The chain's unreduced weights: beta_i times every later alpha.
+
+    They satisfy the telescoping identity sum(w_i * product / m_i) == 1
+    exactly, and reduce mod m_i to the sequential (and classical) weights.
+    """
+    weights = []
+    suffix = 1
+    for alpha, beta in reversed(chain.pairs):
+        weights.append(beta * suffix)
+        suffix *= alpha
+    weights.append(suffix)
+    return tuple(reversed(weights))
 
 
 @dataclass(frozen=True)

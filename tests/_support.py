@@ -1,8 +1,11 @@
 """Shared helpers for the test suite: independent oracles and generators."""
 
 import random
+from bisect import bisect_right
+from dataclasses import dataclass
+from fractions import Fraction
 
-from crrkit import ModuliBase, nth_prime
+from crrkit import ModuliBase, Scaler, nth_prime
 
 # Criteria on random coprime bases share this seed so the same 100 bases are
 # exercised by every check that claims to run over "the same" population.
@@ -60,3 +63,53 @@ def random_coprime_base(rng: random.Random, max_len: int = 32) -> ModuliBase:
     moduli = [m for m in moduli if m > 1]
     rng.shuffle(moduli)
     return ModuliBase.from_moduli(moduli)
+
+
+@dataclass(frozen=True)
+class UnderApprox:
+    """One-sided rational approximation: target - value stays in [0, 2**-bits]."""
+
+    value: Fraction
+    target: Fraction
+    bits: int
+
+    @property
+    def holds(self) -> bool:
+        gap = self.target - self.value
+        return 0 <= gap <= Fraction(1, 1 << self.bits)
+
+
+def suffix_product_series(numerators, groups) -> tuple[int, int]:
+    """Reciprocal series summed term by term over suffix products of the groups.
+
+    Reference for the Horner form: the same unreduced (numerator, denominator)
+    with denominator prod(groups).
+    """
+    suffix = [1] * (len(groups) + 1)
+    for i in range(len(groups) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] * groups[i]
+    denominator = suffix[0]
+    total = denominator
+    prefix = 1
+    for i, t in enumerate(numerators):
+        if t == 0:
+            break
+        prefix *= t
+        total += prefix * suffix[i + 1]
+    return total, denominator
+
+
+def bisect_scaler(y: int, prefix: tuple[int, ...]) -> Scaler:
+    """Scaler by bisection over all prefix products (reference for build_scaler).
+
+    ``prefix[j]`` is the product of the first j moduli of the base.
+    """
+    if y == 2:
+        return Scaler(0, 1, 2)
+    j = bisect_right(prefix, y) - 1
+    if j >= len(prefix) - 1:
+        raise ValueError("moduli base too short to bracket the divisor")
+    k = 1
+    while (prefix[j] << k) <= y:
+        k += 1
+    return Scaler(j, k, prefix[j] << k)

@@ -9,8 +9,8 @@ from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 from crrkit import (
-    UnderApprox,
     build_plan,
+    chain_weights,
     classical_coefficients,
     coprime_form_attempts,
     default_n2_bound,
@@ -26,7 +26,7 @@ from crrkit import (
 )
 from crrkit.cli import main
 
-from _support import BASES_SEED, random_coprime_base
+from _support import BASES_SEED, UnderApprox, random_coprime_base
 
 
 @contextmanager
@@ -89,14 +89,7 @@ def test_criterion_04_telescoping_identity():
         for _ in range(100):
             base = random_coprime_base(rng)
             _, chain = sequential_coefficients(base)
-            r = len(base.moduli)
-            weights = [0] * r
-            suffix = 1
-            for i in range(r - 1, 0, -1):
-                alpha, beta = chain.pairs[i - 1]
-                weights[i] = beta * suffix
-                suffix *= alpha
-            weights[0] = suffix
+            weights = chain_weights(chain)
             total = sum(w * (base.product // m) for w, m in zip(weights, base.moduli))
             assert total == 1
 

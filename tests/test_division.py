@@ -1,15 +1,18 @@
 """Division pipeline: scaler, groups, series, and exact quotients."""
 
+import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from crrkit import (
     GroupBoundError,
     Scaler,
-    UnderApprox,
     adaptive_group_size,
     build_groups,
     build_plan,
@@ -23,6 +26,7 @@ from crrkit import (
     series_numerators,
     strict_moduli_count,
 )
+from _support import UnderApprox, bisect_scaler, suffix_product_series
 
 
 # --- sizing formulas ---
@@ -104,6 +108,22 @@ def test_build_scaler_window_property():
         assert y < scaler.value <= 2 * y
         assert scaler.value == (1 << scaler.pow2) * base.prefix_products[scaler.prefix_len]
         assert scaler.pow2 >= 1
+
+
+def test_build_scaler_matches_bisect_oracle():
+    rng = random.Random(56)
+    for n in (16, 64, 128):
+        base = build_plan(3, n).base
+        # built apart from base.prefix_products, which divide leaves unbuilt
+        prefix = (1, *itertools.accumulate(base.moduli, operator.mul))
+        ys = set()
+        for bits in range(2, n + 1):
+            low = 1 << (bits - 1)
+            ys.update((low, rng.randrange(low, 2 * low), 2 * low - 1))
+        # a divisor equal to a prefix product, or next to one, is a window edge
+        ys.update(p + d for p in prefix if p < 1 << n for d in (-1, 0, 1))
+        for y in sorted(y for y in ys if 2 <= y < 1 << n):
+            assert build_scaler(y, base) == bisect_scaler(y, prefix)
 
 
 def test_build_scaler_rejects():
@@ -220,6 +240,24 @@ def test_reciprocal_series_randomized_bound():
         s_num, s_den = reciprocal_series(ts, groups)
         gap = Fraction(den, num) - Fraction(s_num, s_den)
         assert 0 <= gap <= Fraction(1, 1 << n)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.just(0) | st.integers(min_value=1, max_value=1 << 40),
+            st.integers(min_value=1, max_value=1 << 40),
+        ),
+        max_size=24,
+    )
+)
+@example([(5, 7), (0, 11), (3, 13)])
+def test_reciprocal_series_matches_suffix_product_oracle(terms):
+    numerators = tuple(t for t, _ in terms)
+    groups = tuple(a for _, a in terms)
+    assert reciprocal_series(numerators, groups) == suffix_product_series(
+        numerators, groups
+    )
 
 
 def test_reciprocal_series_rejects_mismatch():
@@ -342,6 +380,12 @@ def test_divide_rejects_bad_arguments():
         divide(1, 1, 3)
     with pytest.raises(ValueError):
         divide(10, 3, 8, "turbo")
+
+
+def test_divide_leaves_prefix_products_unbuilt():
+    result = divide(3**70, 5**30, 128)
+    assert result.quotient == 3**70 // 5**30
+    assert "prefix_products" not in vars(result.plan.base)
 
 
 def test_plan_series_denominator_is_group_product():

@@ -67,6 +67,15 @@ def test_prefix_products_shape():
         assert base.prefix_products[j + 1] == base.prefix_products[j] * m
 
 
+def test_equal_moduli_bases_compare_and_hash_equal():
+    built = ModuliBase.from_moduli([5, 7, 11, 13])
+    generated = prime_base(4)
+    assert built is not generated
+    built.prefix_products  # cached on one instance only
+    assert built == generated and hash(built) == hash(generated)
+    assert built != ModuliBase.from_moduli([7, 5, 11, 13])
+
+
 def test_pairwise_coprime_examples():
     assert pairwise_coprime([3, 5, 7])
     assert pairwise_coprime([4, 9, 25])

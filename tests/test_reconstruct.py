@@ -11,6 +11,7 @@ from crrkit import (
     AttemptsExhaustedError,
     BaseMismatchError,
     ModuliBase,
+    chain_weights,
     classical_coefficients,
     coprime_form_attempts,
     default_n2_bound,
@@ -131,16 +132,19 @@ def test_telescoping_identity_exact():
     for max_len in (4, 16, 64):
         base = random_coprime_base(rng, max_len=max_len)
         _, chain = sequential_coefficients(base)
-        r = len(base.moduli)
-        weights = [0] * r
-        suffix = 1
-        for i in range(r - 1, 0, -1):
-            alpha, beta = chain.pairs[i - 1]
-            weights[i] = beta * suffix
-            suffix *= alpha
-        weights[0] = suffix
+        weights = chain_weights(chain)
         total = sum(w * (base.product // m) for w, m in zip(weights, base.moduli))
         assert total == 1
+
+
+def test_sequential_weights_reduce_chain_weights():
+    # the reduced running product must give the exact chain weights mod m_i
+    rng = random.Random(37)
+    bases = [random_coprime_base(rng, max_len=64) for _ in range(20)]
+    for base in bases + [prime_base(192)]:
+        coeffs, chain = sequential_coefficients(base)
+        exact = chain_weights(chain)
+        assert coeffs.weights == tuple(w % m for w, m in zip(exact, base.moduli))
 
 
 # --- Garner baseline ---
