@@ -1,22 +1,25 @@
 """Command line for the residue arithmetic toolkit.
 
 Output is line-oriented ``key value`` pairs (tables only under --pretty).
-Exit codes: 0 success, 2 usage or parse failure, 3 algorithmic failure.
+Exit codes: 0 success, 2 usage or parse failure, 3 algorithmic or internal
+failure.
 All randomized subcommands take --seed (default 0, echoed; "random" opts
 into entropy) and produce byte-identical output for identical arguments.
 """
 
 import argparse
 import hashlib
+import itertools
 import math
 import multiprocessing
+import os
 import random
 import secrets
 import sys
-from dataclasses import dataclass
+from collections import Counter
 
-from .division import DivideResult, divide, group_bound_report
-from .errors import AttemptsExhaustedError, CrrError, GroupBoundError, ParseError
+from .division import DivideResult, build_plan, divide, group_bound_report
+from .errors import CrrError, ParseError, PrimeLimitError
 from .moduli import format_base_line, pairwise_coprime, parse_base_line, prime_base
 from .reconstruct import (
     chain_weights,
@@ -36,52 +39,33 @@ FAILURE_EXIT = 3
 REFERENCE_COPRIME_RATE = 6 / math.pi**2
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Normalized arguments of one CLI run."""
-
-    command: str
-    seed: int = 0
-    trials: int = 1
-    n: int | None = None
-    count: int | None = None
-    method: str | None = None
-    mode: str | None = None
-    in_path: str | None = None
-    out_path: str | None = None
-    jobs: int = 1
-
-    def __post_init__(self):
-        if not 0 <= self.seed < 1 << 64:
-            raise ValueError("seed must fit in 64 bits")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
-
-
-def _config(args) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        seed=getattr(args, "seed", 0),
-        trials=getattr(args, "trials", 1),
-        n=getattr(args, "n", None),
-        count=getattr(args, "count", None),
-        method=getattr(args, "method", None),
-        mode=getattr(args, "mode", None),
-        in_path=getattr(args, "in_path", None),
-        out_path=getattr(args, "out", None),
-        jobs=getattr(args, "jobs", 1),
-    )
-
-
 def _seed_arg(text: str) -> int:
     if text == "random":
         return secrets.randbits(64)
     try:
-        return int(text, 10)
+        seed = int(text, 10)
     except ValueError:
         raise argparse.ArgumentTypeError("seed must be an integer or 'random'")
+    if not 0 <= seed < 1 << 64:
+        raise argparse.ArgumentTypeError("seed must fit in 64 bits")
+    return seed
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text, 10)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}")
+    return value
+
+
+def _jobs_arg(text: str) -> int:
+    jobs, cap = _positive_int(text), os.cpu_count() or 1
+    if jobs > cap:
+        raise argparse.ArgumentTypeError(f"at most {cap} (the CPU count)")
+    return jobs
 
 
 def _read_file(path: str) -> str:
@@ -94,11 +78,6 @@ def _write_file(path: str, text: str):
         handle.write(text)
 
 
-def _ensure(condition: bool, message: str):
-    if not condition:
-        raise CrrError(message)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crrkit", description="residue number system arithmetic toolkit"
@@ -106,7 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-base", help="print a prime moduli base line")
-    p.add_argument("--count", type=int, required=True, help="number of moduli")
+    p.add_argument(
+        "--count", type=_positive_int, required=True, help="number of moduli"
+    )
     p.add_argument("--out", help="write the base line to a file instead")
     p.set_defaults(handler=_cmd_gen_base)
 
@@ -114,7 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--value", type=int, required=True)
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--base-file", help="file holding one base line")
-    source.add_argument("--count", type=int, help="use the generated prime base")
+    source.add_argument(
+        "--count", type=_positive_int, help="use the generated prime base"
+    )
     p.add_argument("--out", help="write the CRR file here instead of stdout")
     p.set_defaults(handler=_cmd_encode)
 
@@ -126,8 +109,10 @@ def build_parser() -> argparse.ArgumentParser:
         default="classical",
     )
     p.add_argument("--seed", type=_seed_arg, default=0)
-    p.add_argument("--n2-bound", type=int, dest="n2_bound")
-    p.add_argument("--max-attempts", type=int, dest="max_attempts", default=64)
+    p.add_argument("--n2-bound", type=_positive_int, dest="n2_bound")
+    p.add_argument(
+        "--max-attempts", type=_positive_int, dest="max_attempts", default=64
+    )
     p.add_argument("--stats", action="store_true", help="also print call counts")
     p.set_defaults(handler=_cmd_decode)
 
@@ -141,12 +126,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_div)
 
     p = sub.add_parser("prob-stats", help="coprime statistics of random linear forms")
-    p.add_argument("--r", type=int, required=True, help="number of moduli")
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--r", type=_positive_int, required=True, help="number of moduli")
+    p.add_argument("--trials", type=_positive_int, required=True)
     p.add_argument("--seed", type=_seed_arg, default=0)
-    p.add_argument("--n2-bound", type=int, dest="n2_bound")
-    p.add_argument("--max-attempts", type=int, dest="max_attempts", default=64)
-    p.add_argument("--jobs", type=int, default=1, help="parallel trial workers")
+    p.add_argument("--n2-bound", type=_positive_int, dest="n2_bound")
+    p.add_argument(
+        "--max-attempts", type=_positive_int, dest="max_attempts", default=64
+    )
+    p.add_argument("--jobs", type=_jobs_arg, default=1, help="parallel trial workers")
     p.set_defaults(handler=_cmd_prob_stats)
 
     p = sub.add_parser("check-bound", help="group floor reports over a range of n")
@@ -169,28 +156,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen_base(args) -> int:
-    cfg = _config(args)
-    line = format_base_line(prime_base(cfg.count))
-    if cfg.out_path:
-        _write_file(cfg.out_path, line + "\n")
-        print(f"out {cfg.out_path}")
+    line = format_base_line(prime_base(args.count))
+    if args.out:
+        _write_file(args.out, line + "\n")
+        print(f"out {args.out}")
     else:
         print(line)
     return 0
 
 
 def _cmd_encode(args) -> int:
-    cfg = _config(args)
     if args.base_file:
         base = parse_base_line(_read_file(args.base_file))
     else:
-        base = prime_base(cfg.count)
+        base = prime_base(args.count)
     reduced = not 0 <= args.value < base.product
     text = serialize(encode(args.value, base))
-    if cfg.out_path:
-        _write_file(cfg.out_path, text)
+    if args.out:
+        _write_file(args.out, text)
         print(f"reduced {int(reduced)}")
-        print(f"out {cfg.out_path}")
+        print(f"out {args.out}")
     else:
         sys.stdout.write(text)
         print(f"reduced {int(reduced)}", file=sys.stderr)
@@ -198,29 +183,28 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    cfg = _config(args)
-    vector = parse(_read_file(cfg.in_path))
-    stats = [f"method {cfg.method}"]
-    if cfg.method == "classical":
+    vector = parse(_read_file(args.in_path))
+    stats = [f"method {args.method}"]
+    if args.method == "classical":
         coefficients = classical_coefficients(vector.base)
         value = reconstruct(vector, coefficients)
         stats.append(f"egcd_calls {coefficients.egcd_calls}")
-    elif cfg.method == "sequential":
+    elif args.method == "sequential":
         coefficients, _ = sequential_coefficients(vector.base)
         value = reconstruct(vector, coefficients)
         stats.append(f"egcd_calls {coefficients.egcd_calls}")
-    elif cfg.method == "garner":
+    elif args.method == "garner":
         converter = garner_converter(vector.base)
         value = converter.decode(vector)
         stats.append(f"egcd_calls {converter.egcd_calls}")
     else:
-        rng = random.Random(cfg.seed)
+        rng = random.Random(args.seed)
         value, sample = probabilistic_reconstruct(
             vector, rng, n2_bound=args.n2_bound, max_attempts=args.max_attempts
         )
         stats.extend(
             (
-                f"seed {cfg.seed}",
+                f"seed {args.seed}",
                 f"n2_bound {sample.n2_bound}",
                 f"attempts {sample.attempts}",
                 f"egcd_calls {sample.attempts}",
@@ -257,9 +241,8 @@ def _div_report(result: DivideResult, n: int) -> list[tuple[str, object]]:
 
 
 def _cmd_div(args) -> int:
-    cfg = _config(args)
-    result = divide(args.x, args.y, cfg.n, cfg.mode)
-    rows = _div_report(result, cfg.n)
+    result = divide(args.x, args.y, args.n, args.mode)
+    rows = _div_report(result, args.n)
     if args.pretty:
         width = max(len(key) for key, _ in rows)
         for key, value in rows:
@@ -287,31 +270,27 @@ def _stats_trial(task):
 
 
 def _cmd_prob_stats(args) -> int:
-    cfg = _config(args)
-    if args.r < 1:
-        raise ValueError("r must be positive")
     base = prime_base(args.r)
     bound = args.n2_bound or default_n2_bound(base)
-    if bound < 1:
-        raise ValueError("n2-bound must be positive")
+    trials = args.trials
     tasks = [
-        (base, bound, args.max_attempts, _trial_seed(cfg.seed, i))
-        for i in range(cfg.trials)
+        (base, bound, args.max_attempts, _trial_seed(args.seed, i))
+        for i in range(trials)
     ]
-    if cfg.jobs > 1:
-        with multiprocessing.Pool(cfg.jobs) as pool:
+    if args.jobs > 1:
+        with multiprocessing.Pool(args.jobs) as pool:
             results = pool.map(
-                _stats_trial, tasks, chunksize=max(1, cfg.trials // (cfg.jobs * 4))
+                _stats_trial, tasks, chunksize=max(1, trials // (args.jobs * 4))
             )
     else:
         results = [_stats_trial(task) for task in tasks]
     first_hits = sum(1 for first, _, _ in results if first)
-    mean_attempts = sum(attempts for _, attempts, _ in results) / cfg.trials
+    mean_attempts = sum(attempts for _, attempts, _ in results) / trials
     print(f"r {args.r}")
-    print(f"trials {cfg.trials}")
-    print(f"seed {cfg.seed}")
+    print(f"trials {trials}")
+    print(f"seed {args.seed}")
     print(f"n2_bound {bound}")
-    print(f"coprime_fraction {first_hits / cfg.trials:.6f}")
+    print(f"coprime_fraction {first_hits / trials:.6f}")
     print(f"mean_attempts {mean_attempts:.6f}")
     print(f"reference {REFERENCE_COPRIME_RATE:.6f}")
     return 0
@@ -343,45 +322,21 @@ def _cmd_check_bound(args) -> int:
     return 0
 
 
-def _cmd_selftest(args) -> int:
-    cfg = _config(args)
-    print(f"seed {cfg.seed}")
-    rng = random.Random(cfg.seed)
-    for name, check in (
-        ("moduli", _self_moduli),
-        ("roundtrip", _self_roundtrip),
-        ("egcd_counts", _self_egcd_counts),
-        ("telescoping", _self_telescoping),
-        ("serialization", _self_serialization),
-        ("division", _self_division),
-        ("division_strict", _self_division_strict),
-        ("group_bound", _self_group_bound),
-        ("linear_forms", _self_linear_forms),
-    ):
-        try:
-            check(rng)
-        except Exception as exc:  # report the failing stage, then bail
-            print(f"selftest {name} FAIL: {exc}", file=sys.stderr)
-            return FAILURE_EXIT
-        print(f"selftest {name} ok")
-    print("selftest pass")
-    return 0
+# --- checks shared by ``selftest`` and the acceptance battery; each raises
+# CrrError on the first violation and draws from rng in a fixed order ---
 
 
-def _self_moduli(rng):
-    base = prime_base(8)
-    _ensure(base.moduli == (5, 7, 11, 13, 17, 19, 23, 29), "unexpected prime base")
-    _ensure(pairwise_coprime(base), "prime base not coprime")
-    _ensure(base.prefix_products[0] == 1, "prefix products must start at 1")
-    _ensure(base.prefix_products[-1] == base.product, "prefix mismatch")
+def _ensure(condition: bool, message: str):
+    if not condition:
+        raise CrrError(message)
 
 
-def _self_roundtrip(rng):
-    base = prime_base(8)
+def check_roundtrip(base, rng, trials: int):
+    """Random values below the product decode back through all four routes."""
     classical = classical_coefficients(base)
     sequential, _ = sequential_coefficients(base)
     garner = garner_converter(base)
-    for _ in range(100):
+    for _ in range(trials):
         x = rng.randrange(base.product)
         vector = encode(x, base)
         _ensure(reconstruct(vector, classical) == x, "classical")
@@ -391,20 +346,87 @@ def _self_roundtrip(rng):
         _ensure(got == x, "probabilistic")
 
 
-def _self_egcd_counts(rng):
-    base = prime_base(10)
-    _ensure(classical_coefficients(base).egcd_calls == 10, "classical count")
-    sequential, _ = sequential_coefficients(base)
-    _ensure(sequential.egcd_calls == 9, "sequential count")
-    _ensure(garner_converter(base).egcd_calls == 45, "garner count")
+def check_egcd_counts(r: int):
+    """The call-count laws r, r - 1 and r(r - 1)/2 on the first r primes."""
+    base = prime_base(r)
+    _ensure(classical_coefficients(base).egcd_calls == r, "classical count")
+    sequential, chain = sequential_coefficients(base)
+    _ensure(sequential.egcd_calls == len(chain.pairs) == r - 1, "sequential count")
+    _ensure(garner_converter(base).egcd_calls == r * (r - 1) // 2, "garner count")
 
 
-def _self_telescoping(rng):
-    base = prime_base(12)
+def check_telescoping(base):
+    """The unreduced chain weights combine with the cofactors to exactly 1."""
     _, chain = sequential_coefficients(base)
     weights = chain_weights(chain)
     total = sum(w * (base.product // m) for w, m in zip(weights, base.moduli))
     _ensure(total == 1, "telescoping identity")
+
+
+def check_division(n: int, mode: str, rng, trials: int, *pairs) -> Counter:
+    """Exact quotients for pairs, then ``trials`` random ones; counts corrections."""
+    draws = (
+        (rng.randrange(1 << n), rng.randint(1, (1 << n) - 1)) for _ in range(trials)
+    )
+    corrections = Counter()
+    for x, y in itertools.chain(pairs, draws):
+        result = divide(x, y, n, mode)
+        _ensure(result.quotient == x // y, f"{x} // {y} at n={n} ({mode})")
+        corrections[result.correction_applied] += 1
+    return corrections
+
+
+def check_group_bound(lo: int, hi: int):
+    """The group floor holds for every n in [lo, hi] and fails at n = 8."""
+    for n in range(lo, hi + 1):
+        _ensure(group_bound_report(n).holds, f"bound at n={n}")
+    report = group_bound_report(8)
+    _ensure(not report.holds, "n=8 must fail")
+    _ensure(report.next_modulus**report.group_size == 961, "n=8 floor witness")
+
+
+def check_coprime_rate(base, rng, trials: int, low: float, high: float) -> float:
+    """First-draw coprime rate in [low, high]; returns the mean attempts."""
+    hits = attempts_total = 0
+    for _ in range(trials):
+        first, attempts, succeeded = coprime_form_attempts(base, rng)
+        _ensure(succeeded, "form draw exhausted")
+        hits += first
+        attempts_total += attempts
+    _ensure(low <= hits / trials <= high, "coprime rate out of range")
+    return attempts_total / trials
+
+
+def _cmd_selftest(args) -> int:
+    print(f"seed {args.seed}")
+    rng = random.Random(args.seed)
+    for name, check in (
+        ("moduli", _self_moduli),
+        ("roundtrip", lambda: check_roundtrip(prime_base(8), rng, 100)),
+        ("egcd_counts", lambda: check_egcd_counts(10)),
+        ("telescoping", lambda: check_telescoping(prime_base(12))),
+        ("serialization", lambda: _self_serialization(rng)),
+        ("division", lambda: _self_division(rng)),
+        ("division_strict", lambda: _self_division_strict(rng)),
+        ("group_bound", lambda: check_group_bound(64, 80)),
+        ("linear_forms", lambda: check_coprime_rate(prime_base(8), rng, 200, 0.4, 0.8)),
+    ):
+        try:
+            check()
+        except Exception as exc:  # report the failing stage, then bail
+            print(f"selftest {name} FAIL: {exc}", file=sys.stderr)
+            return FAILURE_EXIT
+        print(f"selftest {name} ok")
+    print("selftest pass")
+    return 0
+
+
+def _self_moduli():
+    base = prime_base(8)
+    _ensure(base.moduli == (5, 7, 11, 13, 17, 19, 23, 29), "unexpected prime base")
+    _ensure(pairwise_coprime(base), "prime base not coprime")
+    _ensure(base.prefix_products[0] == 1, "prefix products must start at 1")
+    _ensure(base.prefix_products[-1] == base.product, "prefix mismatch")
 
 
 def _self_serialization(rng):
@@ -415,35 +437,15 @@ def _self_serialization(rng):
 
 
 def _self_division(rng):
-    _ensure(divide(100, 7, 8, "adaptive").quotient == 14, "100 // 7")
-    for _ in range(500):
-        x = rng.randrange(1 << 16)
-        y = rng.randint(1, (1 << 16) - 1)
-        _ensure(divide(x, y, 16, "adaptive").quotient == x // y, "16-bit")
+    check_division(8, "adaptive", rng, 0, (100, 7))
+    check_division(16, "adaptive", rng, 500)
 
 
 def _self_division_strict(rng):
     x = rng.randrange(1 << 64)
     y = rng.randint(2, (1 << 64) - 1)
-    result = divide(x, y, 64, "strict")
-    _ensure(result.quotient == x // y, "64-bit strict")
-    _ensure(result.plan.moduli_count == 874, "strict moduli count")
-
-
-def _self_group_bound(rng):
-    for n in range(64, 81):
-        _ensure(group_bound_report(n).holds, f"bound at n={n}")
-    _ensure(not group_bound_report(8).holds, "n=8 must fail")
-
-
-def _self_linear_forms(rng):
-    base = prime_base(8)
-    hits = 0
-    for _ in range(200):
-        first, _, succeeded = coprime_form_attempts(base, rng)
-        _ensure(succeeded, "form draw exhausted")
-        hits += first
-    _ensure(0.40 <= hits / 200 <= 0.80, "coprime rate out of range")
+    check_division(64, "strict", rng, 0, (x, y))
+    _ensure(build_plan(y, 64, "strict").moduli_count == 874, "strict moduli count")
 
 
 def main(argv=None) -> int:
@@ -457,12 +459,15 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (GroupBoundError, AttemptsExhaustedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return FAILURE_EXIT
-    except (ValueError, ZeroDivisionError, OSError) as exc:
+    except (PrimeLimitError, ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
+    except CrrError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return FAILURE_EXIT
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return FAILURE_EXIT
 
 
 if __name__ == "__main__":

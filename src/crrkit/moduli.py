@@ -115,6 +115,10 @@ def prime_base(count: int) -> ModuliBase:
     """Base of ``count`` consecutive primes starting at 5 (skipping 2 and 3)."""
     if count < 1:
         raise ValueError("count must be positive")
+    if count + 2 > PRIME_INDEX_CEILING:
+        raise PrimeLimitError(
+            f"prime index {count + 2} above ceiling {PRIME_INDEX_CEILING}"
+        )
     mods = tuple(nth_prime(i + 2) for i in range(1, count + 1))
     return ModuliBase.from_moduli(mods, check_coprime=False)
 

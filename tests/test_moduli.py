@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from crrkit import (
+    PRIME_INDEX_CEILING,
     ModuliBase,
     ParseError,
     PrimeLimitError,
@@ -17,6 +18,7 @@ from crrkit import (
     parse_base_line,
     prime_base,
 )
+from crrkit.moduli import _primes
 from _support import primes_by_trial
 
 ORACLE_PRIMES = primes_by_trial(1100)
@@ -41,6 +43,13 @@ def test_nth_prime_rejects_bad_indices():
         nth_prime(-3)
     with pytest.raises(PrimeLimitError):
         nth_prime(10_000_001)
+
+
+def test_prime_base_above_ceiling_raises_before_sieving():
+    cached = len(_primes)
+    with pytest.raises(PrimeLimitError):
+        prime_base(PRIME_INDEX_CEILING)
+    assert len(_primes) == cached
 
 
 def test_prime_base_examples():

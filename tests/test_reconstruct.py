@@ -219,7 +219,6 @@ def test_probabilistic_matches_classical():
         c * s for c, s in zip(sample.cofactors, sample.s)
     )
     assert all(1 <= s <= sample.n2_bound for s in sample.s + sample.t)
-    assert sample.n1_bound == base.product
 
 
 def test_probabilistic_round_trip_random():
@@ -272,3 +271,11 @@ def test_coprime_form_attempt_statistics():
         total += attempts
     assert 0.50 <= hits / 2000 <= 0.72
     assert total / 2000 < 2.0
+
+
+def test_coprime_form_attempts_rejects_bad_bounds():
+    base = prime_base(4)
+    with pytest.raises(ValueError, match="n2_bound"):
+        coprime_form_attempts(base, random.Random(44), n2_bound=0)
+    with pytest.raises(ValueError, match="max_attempts"):
+        coprime_form_attempts(base, random.Random(44), max_attempts=0)
