@@ -8,6 +8,7 @@ into entropy) and produce byte-identical output for identical arguments.
 """
 
 import argparse
+import contextlib
 import hashlib
 import itertools
 import math
@@ -23,6 +24,7 @@ from .errors import CrrError, ParseError, PrimeLimitError
 from .moduli import format_base_line, pairwise_coprime, parse_base_line, prime_base
 from .reconstruct import (
     chain_weights,
+    check_form_bounds,
     classical_coefficients,
     coprime_form_attempts,
     default_n2_bound,
@@ -61,6 +63,34 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@contextlib.contextmanager
+def _int_digits(digits: int):
+    """Let int <-> str conversions of up to ``digits`` digits through.
+
+    Python refuses decimal conversions above ``sys.get_int_max_str_digits()``
+    digits (4300 by default).  The limit is raised only as far as one input
+    needs, and restored on the way out.
+    """
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    old = get_limit() if get_limit else 0
+    if old == 0 or digits <= old:  # 0: no limit
+        yield
+        return
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def _int_arg(text: str) -> int:
+    with _int_digits(len(text)):
+        try:
+            return int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _jobs_arg(text: str) -> int:
     jobs, cap = _positive_int(text), os.cpu_count() or 1
     if jobs > cap:
@@ -92,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_gen_base)
 
     p = sub.add_parser("encode", help="encode an integer as a CRR file")
-    p.add_argument("--value", type=int, required=True)
+    p.add_argument("--value", type=_int_arg, required=True)
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--base-file", help="file holding one base line")
     source.add_argument(
@@ -117,8 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_decode)
 
     p = sub.add_parser("div", help="exact floor division through a residue plan")
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--y", type=int, required=True)
+    p.add_argument("--x", type=_int_arg, required=True)
+    p.add_argument("--y", type=_int_arg, required=True)
     p.add_argument("--n", type=int, required=True, help="operand bit size")
     p.add_argument("--mode", choices=("strict", "adaptive"), default="adaptive")
     p.add_argument("--verify", action="store_true", help="cross-check the quotient")
@@ -166,12 +196,13 @@ def _cmd_gen_base(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    if args.base_file:
-        base = parse_base_line(_read_file(args.base_file))
-    else:
-        base = prime_base(args.count)
+    # a base line holds every modulus in decimal, so its length bounds the
+    # digits of each modulus and of each residue below it
+    line = _read_file(args.base_file) if args.base_file else ""
+    with _int_digits(len(line)):
+        base = parse_base_line(line) if args.base_file else prime_base(args.count)
+        text = serialize(encode(args.value, base))
     reduced = not 0 <= args.value < base.product
-    text = serialize(encode(args.value, base))
     if args.out:
         _write_file(args.out, text)
         print(f"reduced {int(reduced)}")
@@ -183,7 +214,11 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    vector = parse(_read_file(args.in_path))
+    # the file holds every modulus in decimal, so its length bounds the
+    # digits of each token and of the base product, hence of the value
+    text = _read_file(args.in_path)
+    with _int_digits(len(text)):
+        vector = parse(text)
     stats = [f"method {args.method}"]
     if args.method == "classical":
         coefficients = classical_coefficients(vector.base)
@@ -210,7 +245,8 @@ def _cmd_decode(args) -> int:
                 f"egcd_calls {sample.attempts}",
             )
         )
-    print(value)
+    with _int_digits(len(text)):
+        print(value)
     if args.stats:
         for line in stats:
             print(line)
@@ -272,6 +308,7 @@ def _stats_trial(task):
 def _cmd_prob_stats(args) -> int:
     base = prime_base(args.r)
     bound = args.n2_bound or default_n2_bound(base)
+    check_form_bounds(base, bound, args.max_attempts)
     trials = args.trials
     tasks = [
         (base, bound, args.max_attempts, _trial_seed(args.seed, i))

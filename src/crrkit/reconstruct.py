@@ -11,9 +11,14 @@ Four routes are provided:
   until the two sums are coprime, then reads all reconstruction weights
   off a single Bezout pair.
 
-The three deterministic routes thread an :class:`EgcdCounter`; the random
-route's count is its ``attempts``, one extended-gcd call each.  So the four
-compare directly: r, r - 1, r(r-1)/2, and one call per random attempt.
+One counted call is one modular inversion or one extended gcd, whether it
+runs in C (``pow(a, -1, m)``, ``math.gcd``) or in Python
+(:func:`extended_gcd`).  The three deterministic routes thread an
+:class:`EgcdCounter`: the classical and Garner routes invert through
+``pow``, and the sequential chain keeps :func:`extended_gcd` for its exact
+Bezout pairs.  The random route's count is its ``attempts``: one gcd screen
+per attempt, and only the coprime draw pays for its Bezout pair.  So the
+four compare directly: r, r - 1, r(r-1)/2, and one call per random attempt.
 """
 
 import math
@@ -42,8 +47,18 @@ def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, sign_a * old_s, sign_b * old_t
 
 
+def _not_invertible(a: int, m: int) -> ValueError:
+    return ValueError(
+        f"{a} has no inverse modulo {m}: both are divisible by {math.gcd(a, m)}"
+    )
+
+
 class EgcdCounter:
-    """Counts extended-gcd invocations for one computation."""
+    """Counts the modular inversions and extended gcds of one computation.
+
+    Each :meth:`inverse` or :meth:`egcd` is one call, whether it runs in C
+    or in Python.
+    """
 
     __slots__ = ("calls",)
 
@@ -53,6 +68,14 @@ class EgcdCounter:
     def egcd(self, a, b):
         self.calls += 1
         return extended_gcd(a, b)
+
+    def inverse(self, a: int, m: int) -> int:
+        """a^-1 mod m in [0, m); ValueError when a and m share a factor."""
+        self.calls += 1
+        try:
+            return pow(a, -1, m)
+        except ValueError:
+            raise _not_invertible(a, m) from None
 
 
 @dataclass(frozen=True)
@@ -79,13 +102,13 @@ def _cofactors(base: ModuliBase) -> tuple[int, ...]:
 
 
 def classical_coefficients(base: ModuliBase) -> CrtCoefficients:
-    """One modular inverse per modulus: r extended-gcd calls."""
+    """One modular inverse per modulus: r counted calls."""
     counter = EgcdCounter()
-    weights = []
-    for m, cofactor in zip(base.moduli, _cofactors(base)):
-        _, inverse, _ = counter.egcd(cofactor % m, m)
-        weights.append(inverse % m)
-    return CrtCoefficients(base, tuple(weights), "classical", counter.calls)
+    weights = tuple(
+        counter.inverse(cofactor, m)
+        for m, cofactor in zip(base.moduli, _cofactors(base))
+    )
+    return CrtCoefficients(base, weights, "classical", counter.calls)
 
 
 def sequential_coefficients(base: ModuliBase) -> tuple[CrtCoefficients, BezoutChain]:
@@ -103,7 +126,9 @@ def sequential_coefficients(base: ModuliBase) -> tuple[CrtCoefficients, BezoutCh
     r = len(moduli)
     pairs = []
     for j in range(1, r):
-        _, alpha, beta = counter.egcd(moduli[j], prefixes[j])
+        g, alpha, beta = counter.egcd(moduli[j], prefixes[j])
+        if g != 1:
+            raise _not_invertible(prefixes[j], moduli[j])
         pairs.append((alpha, beta))
     weights = [0] * r
     suffix = 1
@@ -153,17 +178,15 @@ class GarnerConverter:
 
 
 def garner_converter(base: ModuliBase) -> GarnerConverter:
-    """All pairwise inverses up front: r(r-1)/2 extended-gcd calls."""
+    """All pairwise inverses up front: r(r-1)/2 counted calls."""
     counter = EgcdCounter()
     moduli = base.moduli
-    inverses = []
-    for j, m in enumerate(moduli):
-        row = []
-        for i in range(j):
-            _, inverse, _ = counter.egcd(moduli[i] % m, m)
-            row.append(inverse % m)
-        inverses.append(tuple(row))
-    return GarnerConverter(base, tuple(inverses), counter.calls)
+    # each row from a list: tuple() of a generator resizes as it grows, which
+    # raised peak RSS by about 0.7 MiB over 300 converters at r = 192
+    inverses = tuple(
+        tuple([counter.inverse(a, m) for a in moduli[:j]]) for j, m in enumerate(moduli)
+    )
+    return GarnerConverter(base, inverses, counter.calls)
 
 
 def reconstruct(vector: CrrVector, coefficients: CrtCoefficients) -> int:
@@ -200,19 +223,51 @@ def default_n2_bound(base: ModuliBase) -> int:
     return max(1 << 16, 64 * (len(base.moduli) + log_product))
 
 
-def _form_draws(base: ModuliBase, rng, n2_bound: int, max_attempts: int):
-    """Up to max_attempts fresh draws (s, t, form_s, form_t) over the cofactors."""
+def check_form_bounds(base: ModuliBase, n2_bound: int, max_attempts: int):
+    """Reject draw bounds under which no attempt is made or none can succeed.
+
+    With more than one modulus, ``n2_bound`` 1 forces s == t, so the two
+    forms are equal and larger than 1, never coprime.
+    """
     if n2_bound < 1:
         raise ValueError("n2_bound must be positive")
     if max_attempts < 1:
         raise ValueError("max_attempts must be positive")
+    if n2_bound < 2 and len(base.moduli) > 1:
+        raise ValueError(
+            "n2_bound must be at least 2 for more than one modulus: "
+            "with 1 the two forms are always equal and never coprime"
+        )
+
+
+def _first_coprime_draw(base: ModuliBase, rng, n2_bound: int, max_attempts: int):
+    """Draw s then t over the cofactors until the form sums are coprime.
+
+    Returns (attempt, s, t, form_s, form_t) for the first coprime draw, or
+    None once max_attempts draws have failed.
+    """
+    check_form_bounds(base, n2_bound, max_attempts)
     cofactors = _cofactors(base)
-    for _ in range(max_attempts):
+    for attempt in range(1, max_attempts + 1):
         s = tuple(rng.randint(1, n2_bound) for _ in cofactors)
         t = tuple(rng.randint(1, n2_bound) for _ in cofactors)
         form_s = sum(c * si for c, si in zip(cofactors, s))
         form_t = sum(c * ti for c, ti in zip(cofactors, t))
-        yield s, t, form_s, form_t
+        if math.gcd(form_s, form_t) == 1:
+            return attempt, s, t, form_s, form_t
+    return None
+
+
+def _bezout_pair(a: int, b: int) -> tuple[int, int]:
+    """The pair (u, v) that :func:`extended_gcd` returns for coprime a, b >= 1.
+
+    u is the inverse of a mod b taken in (-b/2, b/2], and v follows from
+    u*a + v*b == 1.
+    """
+    u = pow(a, -1, b)
+    if 2 * u > b:
+        u -= b
+    return u, (1 - u * a) // b
 
 
 def probabilistic_reconstruct(
@@ -227,13 +282,11 @@ def probabilistic_reconstruct(
     base = vector.base
     if n2_bound is None:
         n2_bound = default_n2_bound(base)
-    draws = _form_draws(base, rng, n2_bound, max_attempts)
-    for attempt, (s, t, form_s, form_t) in enumerate(draws, 1):
-        g, u, v = extended_gcd(form_s, form_t)
-        if g == 1:
-            break
-    else:
+    found = _first_coprime_draw(base, rng, n2_bound, max_attempts)
+    if found is None:
         raise AttemptsExhaustedError(max_attempts, n2_bound)
+    attempt, s, t, form_s, form_t = found
+    u, v = _bezout_pair(form_s, form_t)
     if u * form_s + v * form_t != 1:
         raise RuntimeError("invalid Bezout pair for the linear forms")
     cofactors = _cofactors(base)
@@ -261,11 +314,10 @@ def coprime_form_attempts(
     """Draw form pairs until coprime; report (first_draw_hit, attempts, succeeded)."""
     if n2_bound is None:
         n2_bound = default_n2_bound(base)
-    draws = _form_draws(base, rng, n2_bound, max_attempts)
-    for attempt, (_, _, form_s, form_t) in enumerate(draws, 1):
-        if math.gcd(form_s, form_t) == 1:
-            return attempt == 1, attempt, True
-    return False, max_attempts, False
+    found = _first_coprime_draw(base, rng, n2_bound, max_attempts)
+    if found is None:
+        return False, max_attempts, False
+    return found[0] == 1, found[0], True
 
 
 def _require_same_base(a: ModuliBase, b: ModuliBase):

@@ -5,7 +5,15 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from crrkit import ModuliBase, Scaler, nth_prime
+from crrkit import (
+    AttemptsExhaustedError,
+    LinearFormSample,
+    ModuliBase,
+    Scaler,
+    default_n2_bound,
+    extended_gcd,
+    nth_prime,
+)
 
 # Criteria on random coprime bases share this seed so the same 100 bases are
 # exercised by every check that claims to run over "the same" population.
@@ -113,3 +121,57 @@ def bisect_scaler(y: int, prefix: tuple[int, ...]) -> Scaler:
     while (prefix[j] << k) <= y:
         k += 1
     return Scaler(j, k, prefix[j] << k)
+
+
+# --- extended-gcd references for the routes that invert through pow ---
+
+
+def reference_classical_weights(base: ModuliBase) -> tuple[int, ...]:
+    """Classical weights, one extended gcd per modulus."""
+    weights = []
+    for m in base.moduli:
+        _, inverse, _ = extended_gcd(base.product // m % m, m)
+        weights.append(inverse % m)
+    return tuple(weights)
+
+
+def reference_garner_inverses(base: ModuliBase) -> tuple[tuple[int, ...], ...]:
+    """Garner's table m_i^-1 mod m_j for i < j, one extended gcd per entry."""
+    moduli = base.moduli
+    inverses = []
+    for j, m in enumerate(moduli):
+        row = []
+        for i in range(j):
+            _, inverse, _ = extended_gcd(moduli[i] % m, m)
+            row.append(inverse % m)
+        inverses.append(tuple(row))
+    return tuple(inverses)
+
+
+def reference_probabilistic_reconstruct(vector, rng, n2_bound=None, max_attempts=64):
+    """The random-linear-form route with an extended gcd on every attempt.
+
+    Draws from rng in the same order as ``probabilistic_reconstruct``.
+    """
+    base = vector.base
+    if n2_bound is None:
+        n2_bound = default_n2_bound(base)
+    cofactors = tuple(base.product // m for m in base.moduli)
+    for attempt in range(1, max_attempts + 1):
+        s = tuple(rng.randint(1, n2_bound) for _ in cofactors)
+        t = tuple(rng.randint(1, n2_bound) for _ in cofactors)
+        form_s = sum(c * si for c, si in zip(cofactors, s))
+        form_t = sum(c * ti for c, ti in zip(cofactors, t))
+        g, u, v = extended_gcd(form_s, form_t)
+        if g == 1:
+            break
+    else:
+        raise AttemptsExhaustedError(max_attempts, n2_bound)
+    total = sum(
+        x * ((u * si + v * ti) % m) * c
+        for x, si, ti, m, c in zip(vector.residues, s, t, base.moduli, cofactors)
+    )
+    sample = LinearFormSample(
+        cofactors, s, t, form_s, form_t, u, v, attempt, n2_bound
+    )
+    return total % base.product, sample

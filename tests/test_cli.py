@@ -2,11 +2,12 @@
 
 import multiprocessing
 import os
+import sys
 import time
 
 import pytest
 
-from crrkit import cli
+from crrkit import cli, parse_base_line
 from crrkit.cli import main
 
 
@@ -146,22 +147,50 @@ def test_decode_prob_deterministic_per_seed(capsys, encoded_23):
 
 
 def test_decode_prob_exhaustion_is_failure_exit(capsys, encoded_23):
-    # n2-bound 1 forces s == t, so the forms share every factor and never work
-    code, out, err = run(
-        capsys,
-        "decode",
-        "--in",
-        encoded_23,
-        "--method",
-        "prob",
-        "--n2-bound",
-        "1",
-        "--max-attempts",
-        "3",
-    )
+    # seed 5 needs 5 attempts on this vector, so 3 are exhausted
+    argv = ("decode", "--in", encoded_23, "--method", "prob", "--seed", "5")
+    code, out, _ = run(capsys, *argv, "--stats")
+    assert code == 0
+    assert "attempts 5" in lines_of(out)
+    code, out, err = run(capsys, *argv, "--max-attempts", "3")
     assert code == 3
     assert out == ""
     assert "error" in err
+
+
+def test_decode_prob_n2_bound_one_is_usage_error(capsys, encoded_23):
+    argv = ("decode", "--in", encoded_23, "--method", "prob", "--n2-bound", "1")
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: n2_bound must be at least 2")
+
+
+def test_round_trip_beyond_int_str_digit_limit(capsys, tmp_path):
+    # prime_base(1500) has a 5404-digit product, above the default limit
+    # of 4300 digits for int <-> str conversion
+    base_path, value_path = tmp_path / "base.txt", tmp_path / "v.crr"
+    assert run(capsys, "gen-base", "--count", "1500", "--out", str(base_path))[0] == 0
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        value = str(parse_base_line(base_path.read_text()).product - 1)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(value) > limit
+    argv = ("encode", "--value", value, "--base-file", str(base_path))
+    assert run(capsys, *argv, "--out", str(value_path))[0] == 0
+    for method in ("classical", "prob"):
+        code, out, err = run(capsys, "decode", "--in", str(value_path), "--method", method)
+        assert (code, out, err) == (0, value + "\n", "")
+    # one modulus above the limit, and a residue of limit + 1 digits below it
+    base_path.write_text(f"base 1 1{'0' * limit}1\n")
+    value = value[: limit + 1]
+    argv = ("encode", "--value", value, "--base-file", str(base_path))
+    assert run(capsys, *argv, "--out", str(value_path))[0] == 0
+    code, out, err = run(capsys, "decode", "--in", str(value_path))
+    assert (code, out, err) == (0, value + "\n", "")
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_decode_missing_file_is_usage_error(capsys, tmp_path):
@@ -307,7 +336,8 @@ def test_prob_stats_output(capsys):
     assert rows[6] == "reference 0.607927"
 
 
-def test_prob_stats_deterministic_and_jobs_independent(capsys):
+def test_prob_stats_deterministic_and_jobs_independent(capsys, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # --jobs 2 on any host
     argv = ["prob-stats", "--r", "6", "--trials", "120", "--seed", "11"]
     first = run(capsys, *argv)
     second = run(capsys, *argv)
@@ -340,6 +370,21 @@ def test_prob_stats_jobs_capped_at_cpu_count(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "error" in err and "--jobs" in err
+
+
+def test_prob_stats_n2_bound_one_rejected_before_any_trial(capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a trial or a worker pool was started")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "Pool", no_work)
+    monkeypatch.setattr(cli, "_stats_trial", no_work)
+    for jobs in ("1", "2"):
+        argv = ("prob-stats", "--r", "6", "--trials", "50", "--n2-bound", "1")
+        code, out, err = run(capsys, *argv, "--jobs", jobs)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: n2_bound must be at least 2")
 
 
 # --- check-bound ---

@@ -23,7 +23,14 @@ from crrkit import (
     reconstruct,
     sequential_coefficients,
 )
-from _support import brute_force_crt, random_coprime_base
+from crrkit.reconstruct import _bezout_pair
+from _support import (
+    brute_force_crt,
+    random_coprime_base,
+    reference_classical_weights,
+    reference_garner_inverses,
+    reference_probabilistic_reconstruct,
+)
 
 BASE_357 = ModuliBase.from_moduli([3, 5, 7])
 
@@ -55,6 +62,13 @@ def test_extended_gcd_identity(a, b):
     g, u, v = extended_gcd(a, b)
     assert g == math.gcd(a, b) > 0
     assert u * a + v * b == g
+
+
+def test_bezout_pair_matches_extended_gcd():
+    for a in range(1, 200):
+        for b in range(1, 200):
+            if math.gcd(a, b) == 1:
+                assert (1, *_bezout_pair(a, b)) == extended_gcd(a, b), (a, b)
 
 
 # --- classical coefficients ---
@@ -163,6 +177,37 @@ def test_garner_decodes():
     assert conv.decode(encode(0, BASE_357)) == 0
 
 
+# --- pow inverses against the extended-gcd references ---
+
+
+@given(st.integers(0, 2**32))
+def test_pow_inverses_match_extended_gcd(seed):
+    base = random_coprime_base(random.Random(seed))
+    r = len(base.moduli)
+    classical = classical_coefficients(base)
+    assert classical.weights == reference_classical_weights(base)
+    assert classical.egcd_calls == r
+    garner = garner_converter(base)
+    assert garner.inverses == reference_garner_inverses(base)
+    assert garner.egcd_calls == r * (r - 1) // 2
+
+
+NON_COPRIME = ModuliBase.from_moduli([6, 10, 7], check_coprime=False)
+
+
+@pytest.mark.parametrize(
+    "route, message",
+    [
+        (classical_coefficients, "70 has no inverse modulo 6"),
+        (garner_converter, "6 has no inverse modulo 10"),
+        (sequential_coefficients, "6 has no inverse modulo 10"),
+    ],
+)
+def test_non_coprime_base_fails_loudly(route, message):
+    with pytest.raises(ValueError, match=f"^{message}: both are divisible by 2$"):
+        route(NON_COPRIME)
+
+
 # --- reconstruct ---
 
 
@@ -260,6 +305,22 @@ def test_probabilistic_exhaustion():
     assert info.value.attempts == 5
 
 
+# with one modulus the cofactor is 1, so each form is its own coefficient and
+# n2_bound 1 or 3 makes forms equal to 1
+@pytest.mark.parametrize(
+    "r, n2_bound", [(1, 1), (1, 3), (2, 2), (3, None), (12, None), (64, None)]
+)
+def test_probabilistic_matches_extended_gcd_reference(r, n2_bound):
+    base = prime_base(r)
+    for seed in range(6):
+        rng = random.Random(seed)
+        vector = encode(rng.randrange(base.product), base)
+        state = rng.getstate()
+        got = probabilistic_reconstruct(vector, rng, n2_bound)
+        rng.setstate(state)
+        assert got == reference_probabilistic_reconstruct(vector, rng, n2_bound)
+
+
 def test_coprime_form_attempt_statistics():
     base = prime_base(16)
     rng = random.Random(43)
@@ -279,3 +340,8 @@ def test_coprime_form_attempts_rejects_bad_bounds():
         coprime_form_attempts(base, random.Random(44), n2_bound=0)
     with pytest.raises(ValueError, match="max_attempts"):
         coprime_form_attempts(base, random.Random(44), max_attempts=0)
+    # s == t for every draw: the forms are equal and never coprime
+    with pytest.raises(ValueError, match="n2_bound must be at least 2"):
+        coprime_form_attempts(base, random.Random(44), n2_bound=1)
+    with pytest.raises(ValueError, match="n2_bound must be at least 2"):
+        probabilistic_reconstruct(encode(5, base), random.Random(44), n2_bound=1)
