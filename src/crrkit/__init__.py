@@ -39,7 +39,6 @@ from .moduli import (
     prime_base,
 )
 from .reconstruct import (
-    BezoutChain,
     CrtCoefficients,
     EgcdCounter,
     GarnerConverter,
@@ -48,7 +47,6 @@ from .reconstruct import (
     classical_coefficients,
     coprime_form_attempts,
     default_n2_bound,
-    extended_gcd,
     garner_converter,
     probabilistic_reconstruct,
     reconstruct,
@@ -61,7 +59,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AttemptsExhaustedError",
     "BaseMismatchError",
-    "BezoutChain",
     "CrrError",
     "CrrVector",
     "CrtCoefficients",
@@ -87,7 +84,6 @@ __all__ = [
     "default_n2_bound",
     "divide",
     "encode",
-    "extended_gcd",
     "format_base_line",
     "garner_converter",
     "group_bound_report",

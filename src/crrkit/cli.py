@@ -387,15 +387,15 @@ def check_egcd_counts(r: int):
     """The call-count laws r, r - 1 and r(r - 1)/2 on the first r primes."""
     base = prime_base(r)
     _ensure(classical_coefficients(base).egcd_calls == r, "classical count")
-    sequential, chain = sequential_coefficients(base)
-    _ensure(sequential.egcd_calls == len(chain.pairs) == r - 1, "sequential count")
+    sequential, pairs = sequential_coefficients(base)
+    _ensure(sequential.egcd_calls == len(pairs) == r - 1, "sequential count")
     _ensure(garner_converter(base).egcd_calls == r * (r - 1) // 2, "garner count")
 
 
 def check_telescoping(base):
     """The unreduced chain weights combine with the cofactors to exactly 1."""
-    _, chain = sequential_coefficients(base)
-    weights = chain_weights(chain)
+    _, pairs = sequential_coefficients(base)
+    weights = chain_weights(pairs)
     total = sum(w * (base.product // m) for w, m in zip(weights, base.moduli))
     _ensure(total == 1, "telescoping identity")
 
@@ -462,8 +462,6 @@ def _self_moduli():
     base = prime_base(8)
     _ensure(base.moduli == (5, 7, 11, 13, 17, 19, 23, 29), "unexpected prime base")
     _ensure(pairwise_coprime(base), "prime base not coprime")
-    _ensure(base.prefix_products[0] == 1, "prefix products must start at 1")
-    _ensure(base.prefix_products[-1] == base.product, "prefix mismatch")
 
 
 def _self_serialization(rng):

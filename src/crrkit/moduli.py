@@ -1,17 +1,15 @@
 """Prime moduli bases: generation, validation, and the base text line.
 
 A base is an ordered tuple of pairwise-coprime moduli together with its
-product.  Its prefix products take O(r**2) bits in all, so they are built
-only on first use and take no part in equality or hashing.  The canonical
-generated base consists of consecutive primes starting at 5, so that every
-modulus is odd and coprime to 3.
+product.  The canonical generated base consists of consecutive primes
+starting at 5, so that every modulus is odd and coprime to 3.
 """
 
 import math
 import re
 import threading
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import ParseError, PrimeLimitError
 
@@ -52,6 +50,12 @@ def nth_prime(index: int) -> int:
     return _primes[index - 1]
 
 
+def _require_int(value, what: str):
+    """TypeError unless value is an int; bool is excluded."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} {value!r} is not an int")
+
+
 @dataclass(frozen=True, repr=False)
 class ModuliBase:
     """Ordered pairwise-coprime moduli and their product."""
@@ -61,7 +65,9 @@ class ModuliBase:
 
     @classmethod
     def from_moduli(cls, moduli, check_coprime: bool = True) -> "ModuliBase":
-        mods = tuple(int(m) for m in moduli)
+        mods = tuple(moduli)
+        for m in mods:
+            _require_int(m, "modulus")
         if not mods:
             raise ValueError("at least one modulus required")
         if any(m < 2 for m in mods):
@@ -69,18 +75,6 @@ class ModuliBase:
         if check_coprime and not pairwise_coprime(mods):
             raise ValueError("moduli must be pairwise coprime")
         return cls(mods, math.prod(mods))
-
-    @cached_property
-    def prefix_products(self) -> tuple[int, ...]:
-        """``prefix_products[j]`` is the product of the first ``j`` moduli.
-
-        So ``prefix_products[0] == 1`` and ``prefix_products[-1] == product``.
-        Built on first access and kept on the instance.
-        """
-        prefixes = [1]
-        for m in self.moduli:
-            prefixes.append(prefixes[-1] * m)
-        return tuple(prefixes)
 
     def __len__(self) -> int:
         return len(self.moduli)

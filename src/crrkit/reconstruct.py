@@ -4,21 +4,19 @@ Four routes are provided:
 
 * classical inverse coefficients, one modular inverse per modulus;
 * a sequential chain of Bezout identities over growing prefix products,
-  one extended-gcd call per modulus after the first;
+  one Bezout pair per modulus after the first;
 * a Garner mixed-radix converter over all pairwise inverses, the
   quadratic-count baseline;
 * a randomized route that draws integer linear forms over the cofactors
   until the two sums are coprime, then reads all reconstruction weights
   off a single Bezout pair.
 
-One counted call is one modular inversion or one extended gcd, whether it
-runs in C (``pow(a, -1, m)``, ``math.gcd``) or in Python
-(:func:`extended_gcd`).  The three deterministic routes thread an
-:class:`EgcdCounter`: the classical and Garner routes invert through
-``pow``, and the sequential chain keeps :func:`extended_gcd` for its exact
-Bezout pairs.  The random route's count is its ``attempts``: one gcd screen
-per attempt, and only the coprime draw pays for its Bezout pair.  So the
-four compare directly: r, r - 1, r(r-1)/2, and one call per random attempt.
+Every inversion is one C ``pow(a, -1, m)``, and one counted call is one
+such inversion; a Bezout pair is one inversion (see :func:`_bezout_pair`).
+The three deterministic routes thread an :class:`EgcdCounter`.  The random
+route's count is its ``attempts``: one ``math.gcd`` screen per attempt, and
+only the coprime draw pays for its Bezout pair.  So the four compare
+directly: r, r - 1, r(r-1)/2, and one call per random attempt.
 """
 
 import math
@@ -30,23 +28,6 @@ from .moduli import ModuliBase
 from .vectors import CrrVector
 
 
-def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, u, v) with u*a + v*b == g == gcd(a, b) > 0."""
-    if a == 0 and b == 0:
-        raise ValueError("gcd(0, 0) is undefined")
-    sign_a = -1 if a < 0 else 1
-    sign_b = -1 if b < 0 else 1
-    old_r, r = abs(a), abs(b)
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, sign_a * old_s, sign_b * old_t
-
-
 def _not_invertible(a: int, m: int) -> ValueError:
     return ValueError(
         f"{a} has no inverse modulo {m}: both are divisible by {math.gcd(a, m)}"
@@ -54,20 +35,15 @@ def _not_invertible(a: int, m: int) -> ValueError:
 
 
 class EgcdCounter:
-    """Counts the modular inversions and extended gcds of one computation.
+    """Counts the modular inversions of one computation.
 
-    Each :meth:`inverse` or :meth:`egcd` is one call, whether it runs in C
-    or in Python.
+    Each :meth:`inverse` or :meth:`bezout` is one call to ``pow(a, -1, m)``.
     """
 
     __slots__ = ("calls",)
 
     def __init__(self):
         self.calls = 0
-
-    def egcd(self, a, b):
-        self.calls += 1
-        return extended_gcd(a, b)
 
     def inverse(self, a: int, m: int) -> int:
         """a^-1 mod m in [0, m); ValueError when a and m share a factor."""
@@ -77,6 +53,14 @@ class EgcdCounter:
         except ValueError:
             raise _not_invertible(a, m) from None
 
+    def bezout(self, a: int, b: int) -> tuple[int, int]:
+        """:func:`_bezout_pair` of a and b; ValueError when they share a factor."""
+        self.calls += 1
+        try:
+            return _bezout_pair(a, b)
+        except ValueError:
+            raise _not_invertible(b, a) from None
+
 
 @dataclass(frozen=True)
 class CrtCoefficients:
@@ -84,16 +68,7 @@ class CrtCoefficients:
 
     base: ModuliBase
     weights: tuple[int, ...]
-    method: str  # "classical" or "sequential"
     egcd_calls: int
-
-
-@dataclass(frozen=True)
-class BezoutChain:
-    """Exact pairs (alpha_j, beta_j) with alpha_j*m_j + beta_j*prefix_{j-1} == 1,
-    one pair per modulus after the first."""
-
-    pairs: tuple[tuple[int, int], ...]
 
 
 @lru_cache(maxsize=32)
@@ -108,28 +83,29 @@ def classical_coefficients(base: ModuliBase) -> CrtCoefficients:
         counter.inverse(cofactor, m)
         for m, cofactor in zip(base.moduli, _cofactors(base))
     )
-    return CrtCoefficients(base, weights, "classical", counter.calls)
+    return CrtCoefficients(base, weights, counter.calls)
 
 
-def sequential_coefficients(base: ModuliBase) -> tuple[CrtCoefficients, BezoutChain]:
-    """Weights from a chain of Bezout identities: r - 1 extended-gcd calls.
+def sequential_coefficients(
+    base: ModuliBase,
+) -> tuple[CrtCoefficients, tuple[tuple[int, int], ...]]:
+    """Weights from a chain of Bezout identities: r - 1 counted calls.
 
-    Step j relates modulus j to the product of all earlier moduli; the weight
-    for position i is beta_i times the product of the later alphas, mod m_i.
-    The running product of alphas is only ever used modulo earlier moduli, so
-    it is reduced modulo their product at each step; :func:`chain_weights`
-    keeps it exact.
+    Step j pairs modulus j with prefix_j, the product of the moduli before
+    it: the returned pairs satisfy alpha_j*m_j + beta_j*prefix_j == 1, one
+    pair per modulus after the first.  The weight for position i is beta_i
+    times the product of the later alphas, mod m_i.  The running product of
+    alphas is only ever used modulo earlier moduli, so it is reduced modulo
+    their product at each step; :func:`chain_weights` keeps it exact.
     """
     counter = EgcdCounter()
     moduli = base.moduli
-    prefixes = base.prefix_products
     r = len(moduli)
+    prefixes = [1]
     pairs = []
     for j in range(1, r):
-        g, alpha, beta = counter.egcd(moduli[j], prefixes[j])
-        if g != 1:
-            raise _not_invertible(prefixes[j], moduli[j])
-        pairs.append((alpha, beta))
+        prefixes.append(prefixes[-1] * moduli[j - 1])
+        pairs.append(counter.bezout(moduli[j], prefixes[j]))
     weights = [0] * r
     suffix = 1
     for i in range(r - 1, 0, -1):
@@ -137,11 +113,10 @@ def sequential_coefficients(base: ModuliBase) -> tuple[CrtCoefficients, BezoutCh
         weights[i] = beta * suffix % moduli[i]
         suffix = suffix * alpha % prefixes[i]
     weights[0] = suffix % moduli[0]
-    coefficients = CrtCoefficients(base, tuple(weights), "sequential", counter.calls)
-    return coefficients, BezoutChain(tuple(pairs))
+    return CrtCoefficients(base, tuple(weights), counter.calls), tuple(pairs)
 
 
-def chain_weights(chain: BezoutChain) -> tuple[int, ...]:
+def chain_weights(pairs) -> tuple[int, ...]:
     """The chain's unreduced weights: beta_i times every later alpha.
 
     They satisfy the telescoping identity sum(w_i * product / m_i) == 1
@@ -149,7 +124,7 @@ def chain_weights(chain: BezoutChain) -> tuple[int, ...]:
     """
     weights = []
     suffix = 1
-    for alpha, beta in reversed(chain.pairs):
+    for alpha, beta in reversed(pairs):
         weights.append(beta * suffix)
         suffix *= alpha
     weights.append(suffix)
@@ -174,7 +149,10 @@ class GarnerConverter:
             for i in range(j):
                 v = (v - digits[i]) * row[i] % m
             digits.append(v)
-        return sum(d * p for d, p in zip(digits, self.base.prefix_products))
+        value = 0
+        for d, m in zip(reversed(digits), reversed(moduli)):
+            value = value * m + d
+        return value
 
 
 def garner_converter(base: ModuliBase) -> GarnerConverter:
@@ -192,13 +170,12 @@ def garner_converter(base: ModuliBase) -> GarnerConverter:
 def reconstruct(vector: CrrVector, coefficients: CrtCoefficients) -> int:
     """The unique integer in [0, product) with the vector's residues."""
     _require_same_base(vector.base, coefficients.base)
-    base = coefficients.base
-    total = sum(
-        x * w * cofactor
-        for x, w, cofactor in zip(
-            vector.residues, coefficients.weights, _cofactors(base)
-        )
-    )
+    return _crt_sum(vector.residues, coefficients.weights, coefficients.base)
+
+
+def _crt_sum(residues, weights, base: ModuliBase) -> int:
+    """sum(x_i * w_i * product / m_i) reduced into [0, product)."""
+    total = sum(x * w * c for x, w, c in zip(residues, weights, _cofactors(base)))
     return total % base.product
 
 
@@ -259,10 +236,11 @@ def _first_coprime_draw(base: ModuliBase, rng, n2_bound: int, max_attempts: int)
 
 
 def _bezout_pair(a: int, b: int) -> tuple[int, int]:
-    """The pair (u, v) that :func:`extended_gcd` returns for coprime a, b >= 1.
+    """The pair (u, v) that extended Euclid returns for coprime a, b >= 1.
 
     u is the inverse of a mod b taken in (-b/2, b/2], and v follows from
-    u*a + v*b == 1.
+    u*a + v*b == 1.  Euclid's own coefficients satisfy |u| <= b/2 (Knuth,
+    TAOCP vol. 2, 4.5.2), so this is the same pair, from one ``pow``.
     """
     u = pow(a, -1, b)
     if 2 * u > b:
@@ -289,13 +267,10 @@ def probabilistic_reconstruct(
     u, v = _bezout_pair(form_s, form_t)
     if u * form_s + v * form_t != 1:
         raise RuntimeError("invalid Bezout pair for the linear forms")
-    cofactors = _cofactors(base)
-    total = sum(
-        x * ((u * si + v * ti) % m) * c
-        for x, si, ti, m, c in zip(vector.residues, s, t, base.moduli, cofactors)
-    )
+    weights = ((u * si + v * ti) % m for si, ti, m in zip(s, t, base.moduli))
+    value = _crt_sum(vector.residues, weights, base)
     sample = LinearFormSample(
-        cofactors=cofactors,
+        cofactors=_cofactors(base),
         s=s,
         t=t,
         form_s=form_s,
@@ -305,7 +280,7 @@ def probabilistic_reconstruct(
         attempts=attempt,
         n2_bound=n2_bound,
     )
-    return total % base.product, sample
+    return value, sample
 
 
 def coprime_form_attempts(

@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass
 
 from .errors import BaseMismatchError, ParseError
-from .moduli import ModuliBase, _parse_base_tokens, _parse_uint
+from .moduli import ModuliBase, _parse_base_tokens, _parse_uint, _require_int
 
 MAGIC = "CRR1"
 
@@ -30,6 +30,9 @@ class CrrVector:
         if len(self.residues) != len(self.base.moduli):
             raise ValueError("residue count does not match base length")
         for x, m in zip(self.residues, self.base.moduli):
+            # every ring op builds a vector, so plain ints skip the call
+            if type(x) is not int:
+                _require_int(x, "residue")
             if not 0 <= x < m:
                 raise ValueError(f"residue {x} out of range for modulus {m}")
 
@@ -61,6 +64,7 @@ def _combine(a: CrrVector, b, op) -> CrrVector:
 
 def encode(value: int, base: ModuliBase) -> CrrVector:
     """Residue vector of ``value`` reduced into [0, product)."""
+    _require_int(value, "value")
     x = value % base.product
     return CrrVector(base, tuple(x % m for m in base.moduli))
 

@@ -1,5 +1,7 @@
 """Shared helpers for the test suite: independent oracles and generators."""
 
+import itertools
+import operator
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -11,7 +13,6 @@ from crrkit import (
     ModuliBase,
     Scaler,
     default_n2_bound,
-    extended_gcd,
     nth_prime,
 )
 
@@ -51,6 +52,11 @@ def brute_force_crt(residues, moduli) -> int:
         if all(x % m == r for m, r in zip(moduli, residues)):
             return x
     raise AssertionError("no integer matches the residues")
+
+
+def prefix_products(moduli) -> tuple[int, ...]:
+    """``prefix[j]`` is the product of the first j moduli; prefix[0] == 1."""
+    return (1, *itertools.accumulate(moduli, operator.mul))
 
 
 def random_coprime_base(rng: random.Random, max_len: int = 32) -> ModuliBase:
@@ -124,6 +130,23 @@ def bisect_scaler(y: int, prefix: tuple[int, ...]) -> Scaler:
 
 
 # --- extended-gcd references for the routes that invert through pow ---
+
+
+def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """Return (g, u, v) with u*a + v*b == g == gcd(a, b) > 0."""
+    if a == 0 and b == 0:
+        raise ValueError("gcd(0, 0) is undefined")
+    sign_a = -1 if a < 0 else 1
+    sign_b = -1 if b < 0 else 1
+    old_r, r = abs(a), abs(b)
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    return old_r, sign_a * old_s, sign_b * old_t
 
 
 def reference_classical_weights(base: ModuliBase) -> tuple[int, ...]:

@@ -67,20 +67,10 @@ def test_prime_base_is_consecutive_primes_from_five():
     assert all(a < b for a, b in zip(base.moduli, base.moduli[1:]))
 
 
-def test_prefix_products_shape():
-    base = prime_base(6)
-    assert base.prefix_products[0] == 1
-    assert base.prefix_products[-1] == base.product
-    assert len(base.prefix_products) == len(base.moduli) + 1
-    for j, m in enumerate(base.moduli):
-        assert base.prefix_products[j + 1] == base.prefix_products[j] * m
-
-
 def test_equal_moduli_bases_compare_and_hash_equal():
     built = ModuliBase.from_moduli([5, 7, 11, 13])
     generated = prime_base(4)
     assert built is not generated
-    built.prefix_products  # cached on one instance only
     assert built == generated and hash(built) == hash(generated)
     assert built != ModuliBase.from_moduli([7, 5, 11, 13])
 
@@ -109,6 +99,14 @@ def test_from_moduli_rejects_bad_input():
         ModuliBase.from_moduli([1, 5])
     with pytest.raises(ValueError):
         ModuliBase.from_moduli([6, 10])
+
+
+@pytest.mark.parametrize(
+    "moduli, named", [([5.9, 7, 11.2], "5.9"), (["13", 7], "'13'"), ([True, 7], "True")]
+)
+def test_from_moduli_rejects_non_int(moduli, named):
+    with pytest.raises(TypeError, match=f"^modulus {named} is not an int$"):
+        ModuliBase.from_moduli(moduli)
 
 
 def test_base_line_example():

@@ -1,4 +1,4 @@
-"""Reconstruction routes: extended gcd, coefficient builders, random forms."""
+"""Reconstruction routes: the extended-gcd oracle, coefficient builders, random forms."""
 
 import math
 import random
@@ -16,7 +16,6 @@ from crrkit import (
     coprime_form_attempts,
     default_n2_bound,
     encode,
-    extended_gcd,
     garner_converter,
     prime_base,
     probabilistic_reconstruct,
@@ -26,6 +25,8 @@ from crrkit import (
 from crrkit.reconstruct import _bezout_pair
 from _support import (
     brute_force_crt,
+    extended_gcd,
+    prefix_products,
     random_coprime_base,
     reference_classical_weights,
     reference_garner_inverses,
@@ -35,7 +36,7 @@ from _support import (
 BASE_357 = ModuliBase.from_moduli([3, 5, 7])
 
 
-# --- extended gcd ---
+# --- extended gcd (the test oracle for every pow inversion) ---
 
 
 def test_extended_gcd_zero_partner():
@@ -104,18 +105,18 @@ def test_classical_weight_identities():
 
 def test_sequential_frozen_example():
     base = ModuliBase.from_moduli([3, 5])
-    coeffs, chain = sequential_coefficients(base)
+    coeffs, pairs = sequential_coefficients(base)
     assert coeffs.weights == (2, 2)
     assert coeffs.egcd_calls == 1
-    (alpha, beta), = chain.pairs
+    (alpha, beta), = pairs
     assert alpha * 5 + beta * 3 == 1
 
 
 def test_sequential_single_modulus():
-    coeffs, chain = sequential_coefficients(ModuliBase.from_moduli([5]))
+    coeffs, pairs = sequential_coefficients(ModuliBase.from_moduli([5]))
     assert coeffs.weights == (1,)
     assert coeffs.egcd_calls == 0
-    assert chain.pairs == ()
+    assert pairs == ()
 
 
 def test_sequential_call_count_is_r_minus_one():
@@ -125,12 +126,16 @@ def test_sequential_call_count_is_r_minus_one():
 
 
 def test_chain_pair_identities():
+    # each pow-derived pair is extended Euclid's own pair, step by step
     rng = random.Random(32)
-    for _ in range(20):
-        base = random_coprime_base(rng, max_len=20)
-        _, chain = sequential_coefficients(base)
-        for j, (alpha, beta) in enumerate(chain.pairs, start=1):
-            assert alpha * base.moduli[j] + beta * base.prefix_products[j] == 1
+    bases = [random_coprime_base(rng) for _ in range(100)]
+    for base in bases + [prime_base(192)]:
+        _, pairs = sequential_coefficients(base)
+        prefix = prefix_products(base.moduli)
+        assert len(pairs) == len(base.moduli) - 1
+        for j, (alpha, beta) in enumerate(pairs, start=1):
+            assert alpha * base.moduli[j] + beta * prefix[j] == 1
+            assert (1, alpha, beta) == extended_gcd(base.moduli[j], prefix[j]), (base, j)
 
 
 def test_sequential_agrees_with_classical():
@@ -145,8 +150,8 @@ def test_telescoping_identity_exact():
     rng = random.Random(34)
     for max_len in (4, 16, 64):
         base = random_coprime_base(rng, max_len=max_len)
-        _, chain = sequential_coefficients(base)
-        weights = chain_weights(chain)
+        _, pairs = sequential_coefficients(base)
+        weights = chain_weights(pairs)
         total = sum(w * (base.product // m) for w, m in zip(weights, base.moduli))
         assert total == 1
 
@@ -156,8 +161,8 @@ def test_sequential_weights_reduce_chain_weights():
     rng = random.Random(37)
     bases = [random_coprime_base(rng, max_len=64) for _ in range(20)]
     for base in bases + [prime_base(192)]:
-        coeffs, chain = sequential_coefficients(base)
-        exact = chain_weights(chain)
+        coeffs, pairs = sequential_coefficients(base)
+        exact = chain_weights(pairs)
         assert coeffs.weights == tuple(w % m for w, m in zip(exact, base.moduli))
 
 

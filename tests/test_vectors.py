@@ -39,6 +39,18 @@ def test_encode_reduces_negative_and_oversized():
     assert encode(-105, BASE_357) == encode(0, BASE_357)
 
 
+@pytest.mark.parametrize("residues, named", [((1.5, 1, 2), "1.5"), ((1, True, 2), "True")])
+def test_vector_rejects_non_int_residues(residues, named):
+    with pytest.raises(TypeError, match=f"^residue {named} is not an int$"):
+        CrrVector(BASE_5_7_11, residues)
+
+
+@pytest.mark.parametrize("value, named", [(2.5, "2.5"), (False, "False"), ("7", "'7'")])
+def test_encode_rejects_non_int(value, named):
+    with pytest.raises(TypeError, match=f"^value {named} is not an int$"):
+        encode(value, BASE_5_7_11)
+
+
 def test_encode_injective_on_small_range():
     seen = set()
     for x in range(BASE_357.product):
