@@ -12,8 +12,6 @@ import contextlib
 import hashlib
 import itertools
 import math
-import multiprocessing
-import os
 import random
 import secrets
 import sys
@@ -91,13 +89,6 @@ def _int_arg(text: str) -> int:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
-def _jobs_arg(text: str) -> int:
-    jobs, cap = _positive_int(text), os.cpu_count() or 1
-    if jobs > cap:
-        raise argparse.ArgumentTypeError(f"at most {cap} (the CPU count)")
-    return jobs
-
-
 def _read_file(path: str) -> str:
     with open(path, "r", encoding="utf-8", newline="") as handle:
         return handle.read()
@@ -163,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-attempts", type=_positive_int, dest="max_attempts", default=64
     )
-    p.add_argument("--jobs", type=_jobs_arg, default=1, help="parallel trial workers")
     p.set_defaults(handler=_cmd_prob_stats)
 
     p = sub.add_parser("check-bound", help="group floor reports over a range of n")
@@ -299,30 +289,34 @@ def _trial_seed(seed: int, index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _stats_trial(task):
-    base, n2_bound, max_attempts, trial_seed = task
-    rng = random.Random(trial_seed)
-    return coprime_form_attempts(base, rng, n2_bound, max_attempts)
+def coprime_form_stats(base, rngs, n2_bound=None, max_attempts: int = 64):
+    """One :func:`coprime_form_attempts` trial per generator in ``rngs``.
+
+    The bounds are checked once, before the first draw.  Returns
+    (first-draw hits, total attempts, exhausted trials); an exhausted trial
+    counts ``max_attempts`` attempts.
+    """
+    if n2_bound is None:
+        n2_bound = default_n2_bound(base)
+    check_form_bounds(base, n2_bound, max_attempts)
+    hits = attempts_total = exhausted = 0
+    for rng in rngs:
+        first, attempts, succeeded = coprime_form_attempts(
+            base, rng, n2_bound, max_attempts
+        )
+        hits += first
+        attempts_total += attempts
+        exhausted += not succeeded
+    return hits, attempts_total, exhausted
 
 
 def _cmd_prob_stats(args) -> int:
     base = prime_base(args.r)
     bound = args.n2_bound or default_n2_bound(base)
-    check_form_bounds(base, bound, args.max_attempts)
     trials = args.trials
-    tasks = [
-        (base, bound, args.max_attempts, _trial_seed(args.seed, i))
-        for i in range(trials)
-    ]
-    if args.jobs > 1:
-        with multiprocessing.Pool(args.jobs) as pool:
-            results = pool.map(
-                _stats_trial, tasks, chunksize=max(1, trials // (args.jobs * 4))
-            )
-    else:
-        results = [_stats_trial(task) for task in tasks]
-    first_hits = sum(1 for first, _, _ in results if first)
-    mean_attempts = sum(attempts for _, attempts, _ in results) / trials
+    rngs = (random.Random(_trial_seed(args.seed, i)) for i in range(trials))
+    first_hits, attempts, _ = coprime_form_stats(base, rngs, bound, args.max_attempts)
+    mean_attempts = attempts / trials
     print(f"r {args.r}")
     print(f"trials {trials}")
     print(f"seed {args.seed}")
@@ -424,12 +418,10 @@ def check_group_bound(lo: int, hi: int):
 
 def check_coprime_rate(base, rng, trials: int, low: float, high: float) -> float:
     """First-draw coprime rate in [low, high]; returns the mean attempts."""
-    hits = attempts_total = 0
-    for _ in range(trials):
-        first, attempts, succeeded = coprime_form_attempts(base, rng)
-        _ensure(succeeded, "form draw exhausted")
-        hits += first
-        attempts_total += attempts
+    hits, attempts_total, exhausted = coprime_form_stats(
+        base, itertools.repeat(rng, trials)
+    )
+    _ensure(not exhausted, "form draw exhausted")
     _ensure(low <= hits / trials <= high, "coprime rate out of range")
     return attempts_total / trials
 

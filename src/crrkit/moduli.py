@@ -5,10 +5,11 @@ product.  The canonical generated base consists of consecutive primes
 starting at 5, so that every modulus is odd and coprime to 3.
 """
 
+import itertools
 import math
 import re
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import ParseError, PrimeLimitError
@@ -30,9 +31,8 @@ def _extend_primes():
         if p * p >= hi:
             break
         start = max(p * p, ((lo + p - 1) // p) * p)
-        for multiple in range(start, hi, p):
-            flags[multiple - lo] = 0
-    _primes.extend(lo + i for i, flag in enumerate(flags) if flag)
+        flags[start - lo :: p] = bytes(len(range(start, hi, p)))
+    _primes.extend(itertools.compress(range(lo, hi), flags))
 
 
 def nth_prime(index: int) -> int:
@@ -58,23 +58,31 @@ def _require_int(value, what: str):
 
 @dataclass(frozen=True, repr=False)
 class ModuliBase:
-    """Ordered pairwise-coprime moduli and their product."""
+    """Ordered moduli, each an int >= 2, and their product (derived, not passed).
+
+    Only :meth:`from_moduli` checks that the moduli are pairwise coprime.
+    """
 
     moduli: tuple[int, ...]
-    product: int
+    product: int = field(init=False, compare=False)
 
-    @classmethod
-    def from_moduli(cls, moduli, check_coprime: bool = True) -> "ModuliBase":
-        mods = tuple(moduli)
+    def __post_init__(self):
+        mods = tuple(self.moduli)
         for m in mods:
             _require_int(m, "modulus")
         if not mods:
             raise ValueError("at least one modulus required")
         if any(m < 2 for m in mods):
             raise ValueError("moduli must be at least 2")
-        if check_coprime and not pairwise_coprime(mods):
+        object.__setattr__(self, "moduli", mods)
+        object.__setattr__(self, "product", math.prod(mods))
+
+    @classmethod
+    def from_moduli(cls, moduli, check_coprime: bool = True) -> "ModuliBase":
+        base = cls(moduli)
+        if check_coprime and not pairwise_coprime(base):
             raise ValueError("moduli must be pairwise coprime")
-        return cls(mods, math.prod(mods))
+        return base
 
     def __len__(self) -> int:
         return len(self.moduli)

@@ -183,7 +183,6 @@ def _crt_sum(residues, weights, base: ModuliBase) -> int:
 class LinearFormSample:
     """Outcome of one successful random-linear-form draw."""
 
-    cofactors: tuple[int, ...]
     s: tuple[int, ...]
     t: tuple[int, ...]
     form_s: int
@@ -270,7 +269,6 @@ def probabilistic_reconstruct(
     weights = ((u * si + v * ti) % m for si, ti, m in zip(s, t, base.moduli))
     value = _crt_sum(vector.residues, weights, base)
     sample = LinearFormSample(
-        cofactors=_cofactors(base),
         s=s,
         t=t,
         form_s=form_s,

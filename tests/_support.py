@@ -194,7 +194,5 @@ def reference_probabilistic_reconstruct(vector, rng, n2_bound=None, max_attempts
         x * ((u * si + v * ti) % m) * c
         for x, si, ti, m, c in zip(vector.residues, s, t, base.moduli, cofactors)
     )
-    sample = LinearFormSample(
-        cofactors, s, t, form_s, form_t, u, v, attempt, n2_bound
-    )
+    sample = LinearFormSample(s, t, form_s, form_t, u, v, attempt, n2_bound)
     return total % base.product, sample

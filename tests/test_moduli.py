@@ -93,20 +93,31 @@ def test_pairwise_coprime_matches_all_pairs_oracle(moduli):
 
 
 def test_from_moduli_rejects_bad_input():
-    with pytest.raises(ValueError):
-        ModuliBase.from_moduli([])
-    with pytest.raises(ValueError):
-        ModuliBase.from_moduli([1, 5])
+    for build in (ModuliBase, ModuliBase.from_moduli):
+        with pytest.raises(ValueError, match="at least one modulus"):
+            build(())
+        with pytest.raises(ValueError, match="at least 2"):
+            build((1, 5))
     with pytest.raises(ValueError):
         ModuliBase.from_moduli([6, 10])
+
+
+def test_product_is_derived_not_passed():
+    with pytest.raises(TypeError):
+        ModuliBase((5, 7), 36)
+    base = ModuliBase((5, 7))
+    assert base.product == 35
+    assert base == ModuliBase.from_moduli([5, 7])
+    assert ModuliBase((6, 10)).product == 60  # coprimality stays opt-in
 
 
 @pytest.mark.parametrize(
     "moduli, named", [([5.9, 7, 11.2], "5.9"), (["13", 7], "'13'"), ([True, 7], "True")]
 )
 def test_from_moduli_rejects_non_int(moduli, named):
-    with pytest.raises(TypeError, match=f"^modulus {named} is not an int$"):
-        ModuliBase.from_moduli(moduli)
+    for build in (ModuliBase, ModuliBase.from_moduli):
+        with pytest.raises(TypeError, match=f"^modulus {named} is not an int$"):
+            build(moduli)
 
 
 def test_base_line_example():

@@ -266,7 +266,7 @@ def test_probabilistic_matches_classical():
     assert value == 23
     assert sample.bezout_u * sample.form_s + sample.bezout_v * sample.form_t == 1
     assert sample.form_s == sum(
-        c * s for c, s in zip(sample.cofactors, sample.s)
+        base.product // m * s for m, s in zip(base.moduli, sample.s)
     )
     assert all(1 <= s <= sample.n2_bound for s in sample.s + sample.t)
 
