@@ -315,7 +315,9 @@ def _cmd_prob_stats(args) -> int:
     bound = args.n2_bound or default_n2_bound(base)
     trials = args.trials
     rngs = (random.Random(_trial_seed(args.seed, i)) for i in range(trials))
-    first_hits, attempts, _ = coprime_form_stats(base, rngs, bound, args.max_attempts)
+    first_hits, attempts, exhausted = coprime_form_stats(
+        base, rngs, bound, args.max_attempts
+    )
     mean_attempts = attempts / trials
     print(f"r {args.r}")
     print(f"trials {trials}")
@@ -323,6 +325,7 @@ def _cmd_prob_stats(args) -> int:
     print(f"n2_bound {bound}")
     print(f"coprime_fraction {first_hits / trials:.6f}")
     print(f"mean_attempts {mean_attempts:.6f}")
+    print(f"exhausted {exhausted}")
     print(f"reference {REFERENCE_COPRIME_RATE:.6f}")
     return 0
 
@@ -389,9 +392,7 @@ def check_egcd_counts(r: int):
 def check_telescoping(base):
     """The unreduced chain weights combine with the cofactors to exactly 1."""
     _, pairs = sequential_coefficients(base)
-    weights = chain_weights(pairs)
-    total = sum(w * (base.product // m) for w, m in zip(weights, base.moduli))
-    _ensure(total == 1, "telescoping identity")
+    _ensure(base._tree.combine(chain_weights(pairs)) == 1, "telescoping identity")
 
 
 def check_division(n: int, mode: str, rng, trials: int, *pairs) -> Counter:

@@ -2,21 +2,27 @@
 
 A base is an ordered tuple of pairwise-coprime moduli together with its
 product.  The canonical generated base consists of consecutive primes
-starting at 5, so that every modulus is odd and coprime to 3.
+starting at 5, so that every modulus is odd and coprime to 3.  Each base
+builds one product tree on first use, and every multi-modulus step (encode,
+the classical weights, every CRT combine) walks it.
 """
 
 import itertools
 import math
+import operator
 import re
 import threading
+from array import array
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import ParseError, PrimeLimitError
 
 PRIME_INDEX_CEILING = 10_000_000
 
-_primes = [2, 3, 5, 7, 11, 13]
+# 4 bytes per prime: the 10**7-th prime, 179,424,673, and every prime the
+# sieve's last segment can reach stay below 2**32.
+_primes = array("I", [2, 3, 5, 7, 11, 13])
 _primes_lock = threading.Lock()
 
 
@@ -77,6 +83,10 @@ class ModuliBase:
         object.__setattr__(self, "moduli", mods)
         object.__setattr__(self, "product", math.prod(mods))
 
+    @cached_property
+    def _tree(self) -> "_ProductTree":
+        return _ProductTree(self.moduli)
+
     @classmethod
     def from_moduli(cls, moduli, check_coprime: bool = True) -> "ModuliBase":
         base = cls(moduli)
@@ -94,6 +104,83 @@ class ModuliBase:
             f"ModuliBase(r={len(self.moduli)}, "
             f"{self.moduli[0]}..{self.moduli[-1]})"
         )
+
+
+_CHUNK = 8  # consecutive moduli per leaf of the product tree
+
+
+class _ProductTree:
+    """Product tree over a base's moduli (von zur Gathen & Gerhard, 10.1-10.3).
+
+    The moduli are cut into chunks of ``_CHUNK``; each chunk's product is a
+    leaf, and ``levels`` pairs them up to the single root, the base product.
+    An odd last node is carried up unchanged, so node i of a level has parent
+    i >> 1 and sibling i ^ 1 when that exists.  ``chunk_cofactors`` holds each
+    chunk's in-chunk cofactors, chunk product / m.  The tree costs
+    O(bits * log r) memory, against O(r * bits) for the full cofactors.
+    """
+
+    __slots__ = ("chunks", "chunk_cofactors", "levels")
+
+    def __init__(self, moduli: tuple[int, ...]):
+        self.chunks = [moduli[i : i + _CHUNK] for i in range(0, len(moduli), _CHUNK)]
+        level = [math.prod(chunk) for chunk in self.chunks]
+        self.chunk_cofactors = [
+            [p // m for m in chunk] for p, chunk in zip(level, self.chunks)
+        ]
+        self.levels = [level]
+        while len(level) > 1:
+            level = [math.prod(level[i : i + 2]) for i in range(0, len(level), 2)]
+            self.levels.append(level)
+
+    def _down(self, root_value, step) -> list:
+        """Per-chunk values from the root down: child = step(parent value, i, level)."""
+        values = [root_value]
+        for level in reversed(self.levels[:-1]):
+            values = [step(values[i >> 1], i, level) for i in range(len(level))]
+        return values
+
+    def remainders(self, x: int) -> tuple[int, ...]:
+        """x mod each modulus, from x mod the root down one remainder tree."""
+        values = self._down(x % self.levels[-1][0], lambda v, i, level: v % level[i])
+        return tuple([v % m for v, chunk in zip(values, self.chunks) for m in chunk])
+
+    def cofactors_mod(self) -> list[int]:
+        """(product / m) mod m for each modulus m.
+
+        A node's value is (product / node) mod node: the root's is 1, and a
+        child's is its parent's times its sibling, mod the child.
+        """
+
+        def step(v, i, level):
+            if i ^ 1 < len(level):
+                v *= level[i ^ 1]
+            return v % level[i]
+
+        values = self._down(1, step)
+        return [
+            v * c % m
+            for v, chunk, cofs in zip(values, self.chunks, self.chunk_cofactors)
+            for m, c in zip(chunk, cofs)
+        ]
+
+    def combine(self, values) -> int:
+        """sum(v_i * product / m_i), the exact integer, bottom-up.
+
+        A node's sum is left sum * right product + right sum * left product.
+        """
+        # map stops on the chunk's cofactors before it draws from ``values``,
+        # so each chunk takes exactly its own values
+        values = iter(values)
+        sums = [sum(map(operator.mul, cofs, values)) for cofs in self.chunk_cofactors]
+        for level in self.levels[:-1]:
+            sums = [
+                sums[i] * level[i + 1] + sums[i + 1] * level[i]
+                if i + 1 < len(level)
+                else sums[i]
+                for i in range(0, len(level), 2)
+            ]
+        return sums[0]
 
 
 def pairwise_coprime(moduli) -> bool:

@@ -20,8 +20,8 @@ directly: r, r - 1, r(r-1)/2, and one call per random attempt.
 """
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import AttemptsExhaustedError, BaseMismatchError
 from .moduli import ModuliBase
@@ -71,19 +71,20 @@ class CrtCoefficients:
     egcd_calls: int
 
 
-@lru_cache(maxsize=32)
-def _cofactors(base: ModuliBase) -> tuple[int, ...]:
-    return tuple(base.product // m for m in base.moduli)
-
-
 def classical_coefficients(base: ModuliBase) -> CrtCoefficients:
-    """One modular inverse per modulus: r counted calls."""
+    """One modular inverse per modulus: r counted calls.
+
+    Each cofactor product / m is taken mod m from the base's product tree;
+    only a failure computes the full cofactor, to name it in the message.
+    """
     counter = EgcdCounter()
-    weights = tuple(
-        counter.inverse(cofactor, m)
-        for m, cofactor in zip(base.moduli, _cofactors(base))
-    )
-    return CrtCoefficients(base, weights, counter.calls)
+    weights = []
+    for m, cofactor in zip(base.moduli, base._tree.cofactors_mod()):
+        try:
+            weights.append(counter.inverse(cofactor, m))
+        except ValueError:
+            raise _not_invertible(base.product // m, m) from None
+    return CrtCoefficients(base, tuple(weights), counter.calls)
 
 
 def sequential_coefficients(
@@ -175,8 +176,7 @@ def reconstruct(vector: CrrVector, coefficients: CrtCoefficients) -> int:
 
 def _crt_sum(residues, weights, base: ModuliBase) -> int:
     """sum(x_i * w_i * product / m_i) reduced into [0, product)."""
-    total = sum(x * w * c for x, w, c in zip(residues, weights, _cofactors(base)))
-    return total % base.product
+    return base._tree.combine(map(operator.mul, residues, weights)) % base.product
 
 
 @dataclass(frozen=True)
@@ -223,12 +223,13 @@ def _first_coprime_draw(base: ModuliBase, rng, n2_bound: int, max_attempts: int)
     None once max_attempts draws have failed.
     """
     check_form_bounds(base, n2_bound, max_attempts)
-    cofactors = _cofactors(base)
+    r = len(base.moduli)
+    tree = base._tree
     for attempt in range(1, max_attempts + 1):
-        s = tuple(rng.randint(1, n2_bound) for _ in cofactors)
-        t = tuple(rng.randint(1, n2_bound) for _ in cofactors)
-        form_s = sum(c * si for c, si in zip(cofactors, s))
-        form_t = sum(c * ti for c, ti in zip(cofactors, t))
+        s = tuple(rng.randint(1, n2_bound) for _ in range(r))
+        t = tuple(rng.randint(1, n2_bound) for _ in range(r))
+        form_s = tree.combine(s)
+        form_t = tree.combine(t)
         if math.gcd(form_s, form_t) == 1:
             return attempt, s, t, form_s, form_t
     return None
@@ -266,7 +267,13 @@ def probabilistic_reconstruct(
     u, v = _bezout_pair(form_s, form_t)
     if u * form_s + v * form_t != 1:
         raise RuntimeError("invalid Bezout pair for the linear forms")
-    weights = ((u * si + v * ti) % m for si, ti, m in zip(s, t, base.moduli))
+    # u and v are as wide as the forms: reduce them once down the tree
+    u_mod = base._tree.remainders(u)
+    v_mod = base._tree.remainders(v)
+    weights = (
+        (a * si + b * ti) % m
+        for a, b, si, ti, m in zip(u_mod, v_mod, s, t, base.moduli)
+    )
     value = _crt_sum(vector.residues, weights, base)
     sample = LinearFormSample(
         s=s,

@@ -65,8 +65,7 @@ def _combine(a: CrrVector, b, op) -> CrrVector:
 def encode(value: int, base: ModuliBase) -> CrrVector:
     """Residue vector of ``value`` reduced into [0, product)."""
     _require_int(value, "value")
-    x = value % base.product
-    return CrrVector(base, tuple(x % m for m in base.moduli))
+    return CrrVector(base, base._tree.remainders(value))
 
 
 def serialize(vector: CrrVector) -> str:

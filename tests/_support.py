@@ -179,20 +179,40 @@ def reference_probabilistic_reconstruct(vector, rng, n2_bound=None, max_attempts
     base = vector.base
     if n2_bound is None:
         n2_bound = default_n2_bound(base)
-    cofactors = tuple(base.product // m for m in base.moduli)
     for attempt in range(1, max_attempts + 1):
-        s = tuple(rng.randint(1, n2_bound) for _ in cofactors)
-        t = tuple(rng.randint(1, n2_bound) for _ in cofactors)
-        form_s = sum(c * si for c, si in zip(cofactors, s))
-        form_t = sum(c * ti for c, ti in zip(cofactors, t))
+        s = tuple(rng.randint(1, n2_bound) for _ in base.moduli)
+        t = tuple(rng.randint(1, n2_bound) for _ in base.moduli)
+        form_s, form_t = reference_forms(base, s, t)
         g, u, v = extended_gcd(form_s, form_t)
         if g == 1:
             break
     else:
         raise AttemptsExhaustedError(max_attempts, n2_bound)
-    total = sum(
-        x * ((u * si + v * ti) % m) * c
-        for x, si, ti, m, c in zip(vector.residues, s, t, base.moduli, cofactors)
-    )
+    weights = [(u * si + v * ti) % m for si, ti, m in zip(s, t, base.moduli)]
     sample = LinearFormSample(s, t, form_s, form_t, u, v, attempt, n2_bound)
-    return total % base.product, sample
+    return reference_crt_sum(vector.residues, weights, base), sample
+
+
+# --- flat loops over the full cofactors: references for the product tree ---
+
+
+def reference_encode(value: int, base: ModuliBase) -> tuple[int, ...]:
+    """value mod each modulus, one big-by-small remainder per modulus."""
+    return tuple(value % m for m in base.moduli)
+
+
+def reference_crt_sum(residues, weights, base: ModuliBase) -> int:
+    """sum(x_i * w_i * product / m_i) reduced into [0, product)."""
+    total = sum(
+        x * w * (base.product // m) for x, w, m in zip(residues, weights, base.moduli)
+    )
+    return total % base.product
+
+
+def reference_forms(base: ModuliBase, s, t) -> tuple[int, int]:
+    """The two linear forms sum(s_i * product / m_i) and sum(t_i * product / m_i)."""
+    cofactors = [base.product // m for m in base.moduli]
+    return (
+        sum(c * si for c, si in zip(cofactors, s)),
+        sum(c * ti for c, ti in zip(cofactors, t)),
+    )

@@ -331,7 +331,8 @@ def test_prob_stats_output(capsys):
     assert 0.45 <= fraction <= 0.75
     mean = float(rows[5].split()[1])
     assert 1.0 <= mean < 2.5
-    assert rows[6] == "reference 0.607927"
+    assert rows[6] == "exhausted 0"
+    assert rows[7] == "reference 0.607927"
 
 
 def test_prob_stats_deterministic(capsys):
@@ -342,9 +343,19 @@ def test_prob_stats_deterministic(capsys):
     assert first == (
         0,
         "r 6\ntrials 120\nseed 11\nn2_bound 65536\n"
-        "coprime_fraction 0.608333\nmean_attempts 1.633333\nreference 0.607927\n",
+        "coprime_fraction 0.608333\nmean_attempts 1.633333\nexhausted 0\n"
+        "reference 0.607927\n",
         "",
     )
+
+
+def test_prob_stats_reports_exhausted_trials(capsys):
+    # two attempts per trial leave 38 of the 300 trials without a coprime pair
+    argv = ("prob-stats", "--r", "64", "--trials", "300", "--seed", "3")
+    code, out, err = run(capsys, *argv, "--max-attempts", "2")
+    assert (code, err) == (0, "")
+    rows = lines_of(out)
+    assert rows[5:7] == ["mean_attempts 1.396667", "exhausted 38"]
 
 
 def test_prob_stats_rejects_bad_r(capsys):

@@ -36,6 +36,11 @@ def test_nth_prime_matches_trial_division_oracle():
         assert nth_prime(i) == p
 
 
+def test_prime_cache_stores_four_bytes_per_prime():
+    nth_prime(2000)
+    assert _primes.itemsize == 4
+
+
 def test_nth_prime_rejects_bad_indices():
     with pytest.raises(ValueError):
         nth_prime(0)
