@@ -24,7 +24,8 @@ from functools import lru_cache
 
 from .errors import GroupBoundError
 from .moduli import ModuliBase, nth_prime, prime_base
-from .vectors import CrrVector, encode
+# unused here, but the benchmark's span patches name crrkit.division.encode
+from .vectors import encode
 
 
 def _require_bit_size(n: int):
@@ -216,7 +217,6 @@ class DivideResult:
     quotient: int
     correction_applied: bool
     plan: DivisionPlan | None
-    quotient_crr: CrrVector
 
 
 @lru_cache(maxsize=16)
@@ -275,11 +275,10 @@ def divide(x: int, y: int, n: int, mode: str = "adaptive") -> DivideResult:
         raise ValueError("dividend out of range for the bit size")
     if not 1 <= y < 1 << n:
         raise ValueError("divisor out of range for the bit size")
-    residue_base = prime_base(n)
     if x == 0:
-        return DivideResult(0, False, None, encode(0, residue_base))
+        return DivideResult(0, False, None)
     if y == 1:
-        return DivideResult(x, False, None, encode(x, residue_base))
+        return DivideResult(x, False, None)
     plan = build_plan(y, n, mode)
     numerator, denominator = plan.series
     scale = plan.scaler.value
@@ -290,4 +289,4 @@ def divide(x: int, y: int, n: int, mode: str = "adaptive") -> DivideResult:
         quotient, corrected = candidate + 1, True
     else:
         raise RuntimeError("candidate quotient off by more than one")
-    return DivideResult(quotient, corrected, plan, encode(quotient, residue_base))
+    return DivideResult(quotient, corrected, plan)

@@ -1,10 +1,11 @@
 """Prime moduli bases: generation, validation, and the base text line.
 
-A base is an ordered tuple of pairwise-coprime moduli together with its
-product.  The canonical generated base consists of consecutive primes
-starting at 5, so that every modulus is odd and coprime to 3.  Each base
-builds one product tree on first use, and every multi-modulus step (encode,
-the classical weights, every CRT combine) walks it.
+A base is an ordered tuple of pairwise-coprime moduli.  The canonical
+generated base consists of consecutive primes starting at 5, so that every
+modulus is odd and coprime to 3.  Each base builds one product tree on first
+use; its root is the product, and the coprimality check, encode, the
+classical weights and every CRT combine walk it.  A base that nothing asks
+for its product never multiplies its moduli.
 """
 
 import itertools
@@ -13,7 +14,7 @@ import operator
 import re
 import threading
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import ParseError, PrimeLimitError
@@ -64,13 +65,12 @@ def _require_int(value, what: str):
 
 @dataclass(frozen=True, repr=False)
 class ModuliBase:
-    """Ordered moduli, each an int >= 2, and their product (derived, not passed).
+    """Ordered moduli, each an int >= 2; ``product`` is their product tree's root.
 
     Only :meth:`from_moduli` checks that the moduli are pairwise coprime.
     """
 
     moduli: tuple[int, ...]
-    product: int = field(init=False, compare=False)
 
     def __post_init__(self):
         mods = tuple(self.moduli)
@@ -81,16 +81,19 @@ class ModuliBase:
         if any(m < 2 for m in mods):
             raise ValueError("moduli must be at least 2")
         object.__setattr__(self, "moduli", mods)
-        object.__setattr__(self, "product", math.prod(mods))
 
     @cached_property
     def _tree(self) -> "_ProductTree":
         return _ProductTree(self.moduli)
 
+    @cached_property
+    def product(self) -> int:
+        return self._tree.levels[-1][0]
+
     @classmethod
-    def from_moduli(cls, moduli, check_coprime: bool = True) -> "ModuliBase":
+    def from_moduli(cls, moduli) -> "ModuliBase":
         base = cls(moduli)
-        if check_coprime and not pairwise_coprime(base):
+        if not pairwise_coprime(base):
             raise ValueError("moduli must be pairwise coprime")
         return base
 
@@ -132,6 +135,22 @@ class _ProductTree:
         while len(level) > 1:
             level = [math.prod(level[i : i + 2]) for i in range(0, len(level), 2)]
             self.levels.append(level)
+
+    def pairwise_coprime(self) -> bool:
+        """True iff the moduli are pairwise coprime (Bernstein, "Factoring into
+        coprimes in essentially linear time", 2005).
+
+        Each modulus must be coprime to its in-chunk cofactor, and each node to
+        its sibling: two moduli of different chunks lie under the two children
+        of their lowest common node.  A carried odd node has no sibling.
+        """
+        pairs = zip(self.chunks, self.chunk_cofactors)
+        # zip stops at the shorter side, so a carried node is skipped
+        siblings = ((level[::2], level[1::2]) for level in self.levels[:-1])
+        return all(
+            max(map(math.gcd, a, b)) == 1
+            for a, b in itertools.chain(pairs, siblings)
+        )
 
     def _down(self, root_value, step) -> list:
         """Per-chunk values from the root down: child = step(parent value, i, level)."""
@@ -186,17 +205,12 @@ class _ProductTree:
 def pairwise_coprime(moduli) -> bool:
     """True iff every pair of the given moduli has gcd 1.
 
-    Checked against the running product: a shared prime factor between any
-    earlier modulus and a later one shows up as a nontrivial gcd.
+    Checked on the base's product tree; a plain sequence becomes a transient
+    :class:`ModuliBase` first, so each modulus must be an int >= 2.
     """
-    if isinstance(moduli, ModuliBase):
-        moduli = moduli.moduli
-    running = 1
-    for m in moduli:
-        if math.gcd(m, running) != 1:
-            return False
-        running *= m
-    return True
+    if not isinstance(moduli, ModuliBase):
+        moduli = ModuliBase(moduli)
+    return moduli._tree.pairwise_coprime()
 
 
 @lru_cache(maxsize=64)
@@ -209,7 +223,7 @@ def prime_base(count: int) -> ModuliBase:
             f"prime index {count + 2} above ceiling {PRIME_INDEX_CEILING}"
         )
     mods = tuple(nth_prime(i + 2) for i in range(1, count + 1))
-    return ModuliBase.from_moduli(mods, check_coprime=False)
+    return ModuliBase(mods)
 
 
 # --- the one-line base text format: "base <r> <m_1> ... <m_r>" ---

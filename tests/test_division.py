@@ -286,7 +286,6 @@ def test_divide_fast_paths():
     assert result.quotient == 0 and result.plan is None
     result = divide(200, 1, 8, "adaptive")
     assert result.quotient == 200 and result.plan is None
-    assert result.quotient_crr == divide(200, 1, 8, "strict").quotient_crr
 
 
 def test_divide_by_two_uses_degenerate_scaler():
@@ -356,13 +355,6 @@ def test_divide_strict_modes_16_and_64():
 def test_divide_strict_8_raises_group_bound():
     with pytest.raises(GroupBoundError):
         divide(100, 7, 8, "strict")
-
-
-def test_divide_quotient_crr_encodes_quotient():
-    result = divide(100, 7, 8, "adaptive")
-    assert result.quotient_crr == divide(98, 7, 8, "adaptive").quotient_crr
-    assert result.quotient_crr.base.moduli == prime_base(8).moduli
-    assert result.quotient_crr.residues == tuple(14 % m for m in prime_base(8).moduli)
 
 
 def test_divide_rejects_bad_arguments():

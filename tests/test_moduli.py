@@ -87,14 +87,37 @@ def test_pairwise_coprime_examples():
     assert pairwise_coprime(prime_base(50))
 
 
-@given(st.lists(st.integers(min_value=2, max_value=60), min_size=1, max_size=8))
+@given(st.lists(st.integers(min_value=2, max_value=60), min_size=1, max_size=40))
 def test_pairwise_coprime_matches_all_pairs_oracle(moduli):
+    # up to 40 moduli: five chunks of eight, so the check crosses chunk and
+    # tree-level boundaries
     expected = all(
         math.gcd(moduli[i], moduli[j]) == 1
         for i in range(len(moduli))
         for j in range(i + 1, len(moduli))
     )
     assert pairwise_coprime(moduli) == expected
+
+
+@pytest.mark.parametrize(
+    "i, j", [(0, 1), (7, 8), (8, 15), (511, 512), (0, 1024), (100, 900)]
+)
+def test_shared_factor_found_anywhere_in_the_tree(i, j):
+    # 3 is not in the base, so (i, j) is the only pair sharing a factor:
+    # in one chunk, in sibling chunks, or under the root's two children
+    moduli = list(prime_base(1025).moduli)
+    assert pairwise_coprime(moduli)
+    moduli[j] = 3 * moduli[i]
+    assert not pairwise_coprime(moduli)
+    with pytest.raises(ValueError, match="^moduli must be pairwise coprime$"):
+        ModuliBase.from_moduli(moduli)
+
+
+def test_product_is_built_only_on_demand():
+    base = prime_base(613)  # no other test builds this base
+    assert format_base_line(base).startswith("base 613 5 7 11 ")
+    assert "product" not in vars(base) and "_tree" not in vars(base)
+    assert base.product == math.prod(base.moduli)
 
 
 def test_from_moduli_rejects_bad_input():

@@ -6,6 +6,7 @@ Each must give exactly what the flat loop in ``_support`` gives, on bases of
 every shape and across chunk boundaries.
 """
 
+import math
 import random
 import tracemalloc
 
@@ -84,7 +85,9 @@ def test_classical_weights_retain_only_the_tree():
     # weights must stay far below that once the calls have returned.  The
     # primes start at 7, so no other test has built this base before.
     base = ModuliBase(prime_base(1025).moduli[1:])
-    x = random.Random(5).randrange(base.product)
+    # drawn below math.prod, not base.product: reading the product would
+    # build the tree here, outside the traced region
+    x = random.Random(5).randrange(math.prod(base.moduli))
     vector = CrrVector(base, tuple(x % m for m in base.moduli))
     tracemalloc.start()
     try:

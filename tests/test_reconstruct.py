@@ -197,7 +197,7 @@ def test_pow_inverses_match_extended_gcd(seed):
     assert garner.egcd_calls == r * (r - 1) // 2
 
 
-NON_COPRIME = ModuliBase.from_moduli([6, 10, 7], check_coprime=False)
+NON_COPRIME = ModuliBase([6, 10, 7])
 
 
 @pytest.mark.parametrize(
