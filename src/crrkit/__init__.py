@@ -40,12 +40,11 @@ from .moduli import (
 )
 from .reconstruct import (
     CrtCoefficients,
-    EgcdCounter,
     GarnerConverter,
     LinearFormSample,
     chain_weights,
     classical_coefficients,
-    coprime_form_attempts,
+    coprime_form_stats,
     default_n2_bound,
     garner_converter,
     probabilistic_reconstruct,
@@ -64,7 +63,6 @@ __all__ = [
     "CrtCoefficients",
     "DivideResult",
     "DivisionPlan",
-    "EgcdCounter",
     "GarnerConverter",
     "GroupBoundError",
     "GroupBoundReport",
@@ -80,7 +78,7 @@ __all__ = [
     "build_scaler",
     "chain_weights",
     "classical_coefficients",
-    "coprime_form_attempts",
+    "coprime_form_stats",
     "default_n2_bound",
     "divide",
     "encode",

@@ -19,12 +19,17 @@ from collections import Counter
 
 from .division import DivideResult, build_plan, divide, group_bound_report
 from .errors import CrrError, ParseError, PrimeLimitError
-from .moduli import format_base_line, pairwise_coprime, parse_base_line, prime_base
+from .moduli import (
+    format_base_line,
+    pairwise_coprime,
+    parse_base_line,
+    prime_base,
+    require_prime_index,
+)
 from .reconstruct import (
     chain_weights,
-    check_form_bounds,
     classical_coefficients,
-    coprime_form_attempts,
+    coprime_form_stats,
     default_n2_bound,
     garner_converter,
     probabilistic_reconstruct,
@@ -289,27 +294,6 @@ def _trial_seed(seed: int, index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def coprime_form_stats(base, rngs, n2_bound=None, max_attempts: int = 64):
-    """One :func:`coprime_form_attempts` trial per generator in ``rngs``.
-
-    The bounds are checked once, before the first draw.  Returns
-    (first-draw hits, total attempts, exhausted trials); an exhausted trial
-    counts ``max_attempts`` attempts.
-    """
-    if n2_bound is None:
-        n2_bound = default_n2_bound(base)
-    check_form_bounds(base, n2_bound, max_attempts)
-    hits = attempts_total = exhausted = 0
-    for rng in rngs:
-        first, attempts, succeeded = coprime_form_attempts(
-            base, rng, n2_bound, max_attempts
-        )
-        hits += first
-        attempts_total += attempts
-        exhausted += not succeeded
-    return hits, attempts_total, exhausted
-
-
 def _cmd_prob_stats(args) -> int:
     base = prime_base(args.r)
     bound = args.n2_bound or default_n2_bound(base)
@@ -333,6 +317,7 @@ def _cmd_prob_stats(args) -> int:
 def _cmd_check_bound(args) -> int:
     if args.n_min < 4 or args.n_max < args.n_min:
         raise ValueError("need 4 <= n-min <= n-max")
+    require_prime_index(args.n_max + 3)  # the last row's nth_prime(n + 3)
     reports = [group_bound_report(n) for n in range(args.n_min, args.n_max + 1)]
     if args.pretty:
         print(f"{'n':>5} {'r':>4} {'m_next':>8} {'holds':>6}")

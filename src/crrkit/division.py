@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import GroupBoundError
-from .moduli import ModuliBase, nth_prime, prime_base
+from .moduli import ModuliBase, nth_prime, prime_base, require_prime_index
 # unused here, but the benchmark's span patches name crrkit.division.encode
 from .vectors import encode
 
@@ -50,8 +50,15 @@ def group_size(n: int) -> int:
 
 
 def strict_moduli_count(n: int) -> int:
-    """Fixed-layout total moduli count: floor(n**2 / log2 n) + 3n."""
+    """Fixed-layout total moduli count: floor(n**2 / log2 n) + 3n.
+
+    A count plainly past the prime index ceiling raises PrimeLimitError from
+    a float estimate, before the exact count compares powers of n**2 bits.
+    """
     _require_bit_size(n)
+    # prime_base needs index count + 2, and the count is at least this
+    # estimate less 1 for the floor, less a margin of 1 for float rounding
+    require_prime_index(math.floor(n * n / math.log2(n)) + 3 * n)
     return _floor_div_log2(n * n, n) + 3 * n
 
 

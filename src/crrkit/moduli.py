@@ -42,14 +42,19 @@ def _extend_primes():
     _primes.extend(itertools.compress(range(lo, hi), flags))
 
 
-def nth_prime(index: int) -> int:
-    """The index-th prime, 1-indexed: 1 -> 2, 2 -> 3, 3 -> 5, ..."""
-    if index < 1:
-        raise ValueError("prime index must be positive")
+def require_prime_index(index: int):
+    """Raise PrimeLimitError when the index-th prime is past the ceiling."""
     if index > PRIME_INDEX_CEILING:
         raise PrimeLimitError(
             f"prime index {index} above ceiling {PRIME_INDEX_CEILING}"
         )
+
+
+def nth_prime(index: int) -> int:
+    """The index-th prime, 1-indexed: 1 -> 2, 2 -> 3, 3 -> 5, ..."""
+    if index < 1:
+        raise ValueError("prime index must be positive")
+    require_prime_index(index)
     if index > len(_primes):
         with _primes_lock:
             while index > len(_primes):
@@ -218,10 +223,7 @@ def prime_base(count: int) -> ModuliBase:
     """Base of ``count`` consecutive primes starting at 5 (skipping 2 and 3)."""
     if count < 1:
         raise ValueError("count must be positive")
-    if count + 2 > PRIME_INDEX_CEILING:
-        raise PrimeLimitError(
-            f"prime index {count + 2} above ceiling {PRIME_INDEX_CEILING}"
-        )
+    require_prime_index(count + 2)
     mods = tuple(nth_prime(i + 2) for i in range(1, count + 1))
     return ModuliBase(mods)
 

@@ -13,7 +13,8 @@ Four routes are provided:
 
 Every inversion is one C ``pow(a, -1, m)``, and one counted call is one
 such inversion; a Bezout pair is one inversion (see :func:`_bezout_pair`).
-The three deterministic routes thread an :class:`EgcdCounter`.  The random
+Each deterministic route's ``egcd_calls`` is read off what it built: one
+weight, one Bezout pair or one pairwise inverse per inversion.  The random
 route's count is its ``attempts``: one ``math.gcd`` screen per attempt, and
 only the coprime draw pays for its Bezout pair.  So the four compare
 directly: r, r - 1, r(r-1)/2, and one call per random attempt.
@@ -34,32 +35,12 @@ def _not_invertible(a: int, m: int) -> ValueError:
     )
 
 
-class EgcdCounter:
-    """Counts the modular inversions of one computation.
-
-    Each :meth:`inverse` or :meth:`bezout` is one call to ``pow(a, -1, m)``.
-    """
-
-    __slots__ = ("calls",)
-
-    def __init__(self):
-        self.calls = 0
-
-    def inverse(self, a: int, m: int) -> int:
-        """a^-1 mod m in [0, m); ValueError when a and m share a factor."""
-        self.calls += 1
-        try:
-            return pow(a, -1, m)
-        except ValueError:
-            raise _not_invertible(a, m) from None
-
-    def bezout(self, a: int, b: int) -> tuple[int, int]:
-        """:func:`_bezout_pair` of a and b; ValueError when they share a factor."""
-        self.calls += 1
-        try:
-            return _bezout_pair(a, b)
-        except ValueError:
-            raise _not_invertible(b, a) from None
+def _inverse(a: int, m: int) -> int:
+    """a^-1 mod m in [0, m); ValueError when a and m share a factor."""
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        raise _not_invertible(a, m) from None
 
 
 @dataclass(frozen=True)
@@ -77,14 +58,13 @@ def classical_coefficients(base: ModuliBase) -> CrtCoefficients:
     Each cofactor product / m is taken mod m from the base's product tree;
     only a failure computes the full cofactor, to name it in the message.
     """
-    counter = EgcdCounter()
     weights = []
     for m, cofactor in zip(base.moduli, base._tree.cofactors_mod()):
         try:
-            weights.append(counter.inverse(cofactor, m))
+            weights.append(pow(cofactor, -1, m))
         except ValueError:
             raise _not_invertible(base.product // m, m) from None
-    return CrtCoefficients(base, tuple(weights), counter.calls)
+    return CrtCoefficients(base, tuple(weights), len(weights))
 
 
 def sequential_coefficients(
@@ -99,14 +79,13 @@ def sequential_coefficients(
     alphas is only ever used modulo earlier moduli, so it is reduced modulo
     their product at each step; :func:`chain_weights` keeps it exact.
     """
-    counter = EgcdCounter()
     moduli = base.moduli
     r = len(moduli)
     prefixes = [1]
     pairs = []
     for j in range(1, r):
         prefixes.append(prefixes[-1] * moduli[j - 1])
-        pairs.append(counter.bezout(moduli[j], prefixes[j]))
+        pairs.append(_bezout_pair(moduli[j], prefixes[j]))
     weights = [0] * r
     suffix = 1
     for i in range(r - 1, 0, -1):
@@ -114,7 +93,7 @@ def sequential_coefficients(
         weights[i] = beta * suffix % moduli[i]
         suffix = suffix * alpha % prefixes[i]
     weights[0] = suffix % moduli[0]
-    return CrtCoefficients(base, tuple(weights), counter.calls), tuple(pairs)
+    return CrtCoefficients(base, tuple(weights), len(pairs)), tuple(pairs)
 
 
 def chain_weights(pairs) -> tuple[int, ...]:
@@ -158,14 +137,13 @@ class GarnerConverter:
 
 def garner_converter(base: ModuliBase) -> GarnerConverter:
     """All pairwise inverses up front: r(r-1)/2 counted calls."""
-    counter = EgcdCounter()
     moduli = base.moduli
     # each row from a list: tuple() of a generator resizes as it grows, which
     # raised peak RSS by about 0.7 MiB over 300 converters at r = 192
     inverses = tuple(
-        tuple([counter.inverse(a, m) for a in moduli[:j]]) for j, m in enumerate(moduli)
+        tuple([_inverse(a, m) for a in moduli[:j]]) for j, m in enumerate(moduli)
     )
-    return GarnerConverter(base, inverses, counter.calls)
+    return GarnerConverter(base, inverses, sum(map(len, inverses)))
 
 
 def reconstruct(vector: CrrVector, coefficients: CrtCoefficients) -> int:
@@ -220,9 +198,9 @@ def _first_coprime_draw(base: ModuliBase, rng, n2_bound: int, max_attempts: int)
     """Draw s then t over the cofactors until the form sums are coprime.
 
     Returns (attempt, s, t, form_s, form_t) for the first coprime draw, or
-    None once max_attempts draws have failed.
+    None once max_attempts draws have failed.  The caller checks the bounds
+    with :func:`check_form_bounds` first.
     """
-    check_form_bounds(base, n2_bound, max_attempts)
     r = len(base.moduli)
     tree = base._tree
     for attempt in range(1, max_attempts + 1):
@@ -241,8 +219,12 @@ def _bezout_pair(a: int, b: int) -> tuple[int, int]:
     u is the inverse of a mod b taken in (-b/2, b/2], and v follows from
     u*a + v*b == 1.  Euclid's own coefficients satisfy |u| <= b/2 (Knuth,
     TAOCP vol. 2, 4.5.2), so this is the same pair, from one ``pow``.
+    ValueError when a and b share a factor.
     """
-    u = pow(a, -1, b)
+    try:
+        u = pow(a, -1, b)
+    except ValueError:
+        raise _not_invertible(b, a) from None
     if 2 * u > b:
         u -= b
     return u, (1 - u * a) // b
@@ -260,6 +242,7 @@ def probabilistic_reconstruct(
     base = vector.base
     if n2_bound is None:
         n2_bound = default_n2_bound(base)
+    check_form_bounds(base, n2_bound, max_attempts)
     found = _first_coprime_draw(base, rng, n2_bound, max_attempts)
     if found is None:
         raise AttemptsExhaustedError(max_attempts, n2_bound)
@@ -288,16 +271,29 @@ def probabilistic_reconstruct(
     return value, sample
 
 
-def coprime_form_attempts(
-    base: ModuliBase, rng, n2_bound: int | None = None, max_attempts: int = 64
-) -> tuple[bool, int, bool]:
-    """Draw form pairs until coprime; report (first_draw_hit, attempts, succeeded)."""
+def coprime_form_stats(
+    base: ModuliBase, rngs, n2_bound: int | None = None, max_attempts: int = 64
+) -> tuple[int, int, int]:
+    """One coprime-form trial per generator in ``rngs``.
+
+    Each trial draws form pairs as :func:`probabilistic_reconstruct` does,
+    until their sums are coprime.  The bounds are checked once, before the
+    first draw.  Returns (first-draw hits, total attempts, exhausted trials);
+    an exhausted trial counts ``max_attempts`` attempts.
+    """
     if n2_bound is None:
         n2_bound = default_n2_bound(base)
-    found = _first_coprime_draw(base, rng, n2_bound, max_attempts)
-    if found is None:
-        return False, max_attempts, False
-    return found[0] == 1, found[0], True
+    check_form_bounds(base, n2_bound, max_attempts)
+    hits = attempts_total = exhausted = 0
+    for rng in rngs:
+        found = _first_coprime_draw(base, rng, n2_bound, max_attempts)
+        if found is None:
+            exhausted += 1
+            attempts_total += max_attempts
+        else:
+            hits += found[0] == 1
+            attempts_total += found[0]
+    return hits, attempts_total, exhausted
 
 
 def _require_same_base(a: ModuliBase, b: ModuliBase):

@@ -379,7 +379,9 @@ def test_prob_stats_n2_bound_one_rejected_before_any_trial(capsys, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("a trial was started")
 
-    monkeypatch.setattr(cli, "coprime_form_attempts", no_work)
+    # crrkit.reconstruct names the function, so reach the module by its key
+    module = sys.modules["crrkit.reconstruct"]
+    monkeypatch.setattr(module, "_first_coprime_draw", no_work)
     argv = ("prob-stats", "--r", "6", "--trials", "50", "--n2-bound", "1")
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -388,6 +390,18 @@ def test_prob_stats_n2_bound_one_rejected_before_any_trial(capsys, monkeypatch):
 
 
 # --- check-bound ---
+
+
+def test_check_bound_beyond_prime_ceiling_fails_before_any_row(capsys, monkeypatch):
+    def no_work(n):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(cli, "group_bound_report", no_work)
+    argv = ("check-bound", "--n-min", "9999997", "--n-max", "9999998")
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: prime index 10000001 above ceiling 10000000\n"
 
 
 def test_check_bound_rows(capsys):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from crrkit import (
     GroupBoundError,
+    PrimeLimitError,
     Scaler,
     adaptive_group_size,
     build_groups,
@@ -54,6 +56,19 @@ def test_strict_moduli_count_definition_exact():
     for n in (4, 8, 16, 63, 64, 100, 128, 511, 512):
         k = strict_moduli_count(n) - 3 * n
         assert n**k <= 1 << (n * n) < n ** (k + 1)
+
+
+def test_strict_count_past_prime_ceiling_fails_before_exact_power():
+    # n = 12000 needs about 1.07e7 moduli; the exact count would compare
+    # powers of 1.44e8 bits
+    tracemalloc.start()
+    try:
+        with pytest.raises(PrimeLimitError, match="above ceiling"):
+            divide(1, 3, 12000, "strict")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_strict_count_beats_quadratic_layout():

@@ -1,7 +1,10 @@
 """Reconstruction routes: the extended-gcd oracle, coefficient builders, random forms."""
 
+import builtins
 import math
 import random
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -13,7 +16,7 @@ from crrkit import (
     ModuliBase,
     chain_weights,
     classical_coefficients,
-    coprime_form_attempts,
+    coprime_form_stats,
     default_n2_bound,
     encode,
     garner_converter,
@@ -197,6 +200,48 @@ def test_pow_inverses_match_extended_gcd(seed):
     assert garner.egcd_calls == r * (r - 1) // 2
 
 
+def test_call_counts_equal_real_inversions(monkeypatch):
+    """Each reported count matches the pow(a, -1, m) and gcd calls really made.
+
+    A module global named ``pow`` shadows the builtin inside the reconstruct
+    module; ``crrkit.reconstruct`` itself names the function, hence sys.modules.
+    """
+    calls = Counter()
+    real_gcd = math.gcd
+
+    def counting_pow(a, exponent, modulus=None):
+        calls["pow"] += exponent == -1
+        return builtins.pow(a, exponent, modulus)
+
+    def counting_gcd(*args):
+        calls["gcd"] += 1
+        return real_gcd(*args)
+
+    bases = {r: prime_base(r) for r in (1, 2, 9, 33)}
+    vectors = [
+        encode(random.Random(seed).randrange(bases[9].product), bases[9])
+        for seed in range(20)
+    ]
+    module = sys.modules["crrkit.reconstruct"]
+    monkeypatch.setattr(module, "pow", counting_pow, raising=False)
+    monkeypatch.setattr(math, "gcd", counting_gcd)
+    for r, base in bases.items():
+        calls.clear()
+        assert classical_coefficients(base).egcd_calls == calls["pow"] == r
+        calls.clear()
+        assert sequential_coefficients(base)[0].egcd_calls == calls["pow"] == r - 1
+        calls.clear()
+        assert garner_converter(base).egcd_calls == calls["pow"] == r * (r - 1) // 2
+        assert calls["gcd"] == 0
+    attempts = []
+    for seed, vector in enumerate(vectors):
+        calls.clear()
+        _, sample = probabilistic_reconstruct(vector, random.Random(seed))
+        assert calls == {"gcd": sample.attempts, "pow": 1}
+        attempts.append(sample.attempts)
+    assert max(attempts) > 1
+
+
 NON_COPRIME = ModuliBase([6, 10, 7])
 
 
@@ -327,26 +372,23 @@ def test_probabilistic_matches_extended_gcd_reference(r, n2_bound):
 
 
 def test_coprime_form_attempt_statistics():
-    base = prime_base(16)
-    rng = random.Random(43)
-    hits = total = 0
-    for _ in range(2000):
-        first, attempts, succeeded = coprime_form_attempts(base, rng)
-        assert succeeded
-        hits += first
-        total += attempts
+    hits, total, exhausted = coprime_form_stats(
+        prime_base(16), [random.Random(43)] * 2000
+    )
+    assert exhausted == 0
     assert 0.50 <= hits / 2000 <= 0.72
     assert total / 2000 < 2.0
 
 
 def test_coprime_form_attempts_rejects_bad_bounds():
     base = prime_base(4)
+    rngs = [random.Random(44)] * 3
     with pytest.raises(ValueError, match="n2_bound"):
-        coprime_form_attempts(base, random.Random(44), n2_bound=0)
+        coprime_form_stats(base, rngs, n2_bound=0)
     with pytest.raises(ValueError, match="max_attempts"):
-        coprime_form_attempts(base, random.Random(44), max_attempts=0)
+        coprime_form_stats(base, rngs, max_attempts=0)
     # s == t for every draw: the forms are equal and never coprime
     with pytest.raises(ValueError, match="n2_bound must be at least 2"):
-        coprime_form_attempts(base, random.Random(44), n2_bound=1)
+        coprime_form_stats(base, rngs, n2_bound=1)
     with pytest.raises(ValueError, match="n2_bound must be at least 2"):
         probabilistic_reconstruct(encode(5, base), random.Random(44), n2_bound=1)
