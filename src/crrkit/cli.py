@@ -9,11 +9,12 @@ into entropy) and produce byte-identical output for identical arguments.
 
 import argparse
 import contextlib
-import hashlib
+import functools
 import itertools
 import math
+import os
 import random
-import secrets
+import stat
 import sys
 from collections import Counter
 
@@ -46,7 +47,7 @@ REFERENCE_COPRIME_RATE = 6 / math.pi**2
 
 def _seed_arg(text: str) -> int:
     if text == "random":
-        return secrets.randbits(64)
+        return random.SystemRandom().getrandbits(64)
     try:
         seed = int(text, 10)
     except ValueError:
@@ -100,11 +101,25 @@ def _read_file(path: str) -> str:
 
 
 def _write_file(path: str, text: str):
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    # Overwrite in place, then cut to length, rather than truncate on open:
+    # ext4 flushes a file to disk when it is closed after a truncation to
+    # zero, so every rewrite of an existing --out file waited on the disk.
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8", newline="") as handle:
         handle.write(text)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            handle.truncate()
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process.
+
+    Reuse is safe: parsing keeps no state in the parser (``--seed random``
+    draws inside its type function, and argparse looks up sys.stdout and
+    sys.stderr when it prints).  Every caller shares the one parser, so none
+    may change it; ``main`` does not.
+    """
     parser = argparse.ArgumentParser(
         prog="crrkit", description="residue number system arithmetic toolkit"
     )
@@ -290,6 +305,10 @@ def _cmd_div(args) -> int:
 
 
 def _trial_seed(seed: int, index: int) -> int:
+    # imported here: hashlib loads OpenSSL, about 4 MiB of resident memory
+    # that no other subcommand needs
+    import hashlib
+
     digest = hashlib.sha256(f"{seed}:{index}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 

@@ -33,14 +33,32 @@ def _require_bit_size(n: int):
         raise ValueError("bit size must be at least 4")
 
 
+# relative width of the band around a tie in which the float quotient of
+# _floor_div_log2 is not trusted; its rounding error is below 2**-50
+_TIE_MARGIN = 2.0**-40
+
+
 def _floor_div_log2(value: int, n: int) -> int:
-    """Floor of value / log2(n), exact: the largest k with n**k <= 2**value."""
-    estimate = max(0, int(value / math.log2(n)))
-    while n ** (estimate + 1) <= 1 << value:
-        estimate += 1
-    while estimate > 0 and n**estimate > 1 << value:
-        estimate -= 1
-    return estimate
+    """Floor of value / log2(n), exact: the largest k with n**k <= 2**value.
+
+    For n = 2**e this is value // e.  Otherwise log2(n) is irrational, so
+    k * log2(n) never equals value and the float quotient settles k, unless
+    it lies within a rounding margin of an integer; only then are the exact
+    powers compared.
+    """
+    e = n.bit_length() - 1
+    if n == 1 << e:
+        return value // e
+    quotient = value / math.log2(n)
+    k = math.floor(quotient)
+    margin = quotient * _TIE_MARGIN
+    if margin < quotient - k < 1 - margin:
+        return k
+    while n ** (k + 1) <= 1 << value:
+        k += 1
+    while k > 0 and n**k > 1 << value:
+        k -= 1
+    return k
 
 
 def group_size(n: int) -> int:

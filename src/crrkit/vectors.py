@@ -11,9 +11,16 @@ Decimal integers, single spaces, no leading zeros, trailing newline required.
 
 import operator
 from dataclasses import dataclass
+from typing import NoReturn
 
 from .errors import BaseMismatchError, ParseError
-from .moduli import ModuliBase, _parse_base_tokens, _parse_uint, _require_int
+from .moduli import (
+    ModuliBase,
+    _line_uints,
+    _parse_base_fields,
+    _parse_uint,
+    _require_int,
+)
 
 MAGIC = "CRR1"
 
@@ -69,8 +76,8 @@ def encode(value: int, base: ModuliBase) -> CrrVector:
 
 
 def serialize(vector: CrrVector) -> str:
-    mods = " ".join(str(m) for m in vector.base.moduli)
-    res = " ".join(str(x) for x in vector.residues)
+    mods = " ".join(map(str, vector.base.moduli))
+    res = " ".join(map(str, vector.residues))
     return f"{MAGIC}\nbase {len(vector.base.moduli)} {mods}\nres {res}\n"
 
 
@@ -86,13 +93,14 @@ def parse(text: str) -> CrrVector:
         raise ParseError("expected exactly three lines", min(len(lines), 4))
     if lines[0] != MAGIC:
         raise ParseError(f"expected header {MAGIC!r}", 1, 1)
-    base = _parse_base_tokens(lines[1].split(" "), line_no=2)
-    residues = _parse_res_tokens(lines[2].split(" "), base, line_no=3)
+    base = _parse_base_fields(lines[1], line_no=2)
+    residues = _parse_res_fields(lines[2], base, line_no=3)
     return CrrVector(base, residues)
 
 
-def _parse_res_tokens(tokens, base: ModuliBase, line_no: int) -> tuple[int, ...]:
-    if not tokens or tokens[0] != "res":
+def _raise_res_error(tokens, base: ModuliBase, line_no: int) -> NoReturn:
+    """Raise the ParseError for the first bad token of a residue line."""
+    if tokens[0] != "res":
         raise ParseError("expected 'res' keyword", line_no, 1)
     if len(tokens) != 1 + len(base.moduli):
         raise ParseError(
@@ -100,10 +108,19 @@ def _parse_res_tokens(tokens, base: ModuliBase, line_no: int) -> tuple[int, ...]
             line_no,
             1,
         )
-    residues = []
     for position, (token, m) in enumerate(zip(tokens[1:], base.moduli), start=2):
         x = _parse_uint(token, line_no, position)
         if x >= m:
             raise ParseError(f"residue {x} not below modulus {m}", line_no, position)
-        residues.append(x)
-    return tuple(residues)
+    raise RuntimeError(f"line {line_no} failed its one-pass check on no token")
+
+
+def _parse_res_fields(line: str, base: ModuliBase, line_no: int) -> list[int]:
+    values = _line_uints(line, "res")
+    if (
+        values is None
+        or len(values) != len(base.moduli)
+        or any(map(operator.ge, values, base.moduli))
+    ):
+        _raise_res_error(line.split(" "), base, line_no)
+    return values

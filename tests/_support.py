@@ -1,8 +1,10 @@
 """Shared helpers for the test suite: independent oracles and generators."""
 
 import itertools
+import math
 import operator
 import random
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -11,6 +13,7 @@ from crrkit import (
     AttemptsExhaustedError,
     LinearFormSample,
     ModuliBase,
+    ParseError,
     Scaler,
     default_n2_bound,
     nth_prime,
@@ -216,3 +219,72 @@ def reference_forms(base: ModuliBase, s, t) -> tuple[int, int]:
         sum(c * si for c, si in zip(cofactors, s)),
         sum(c * ti for c, ti in zip(cofactors, t)),
     )
+
+
+# --- per-token parsers of the base and res lines: references for the
+# one-pass line checks and the error walks behind them ---
+
+_DECIMAL = re.compile(r"0|[1-9][0-9]*")
+
+
+def _reference_uint(token: str, line_no: int, position: int) -> int:
+    if not _DECIMAL.fullmatch(token):
+        raise ParseError(f"malformed integer {token!r}", line_no, position)
+    return int(token)
+
+
+def reference_parse_base_tokens(tokens, line_no: int) -> ModuliBase:
+    """A base line's tokens, checked and converted one at a time."""
+    if not tokens or tokens[0] != "base":
+        raise ParseError("expected 'base' keyword", line_no, 1)
+    if len(tokens) < 2:
+        raise ParseError("missing modulus count", line_no, 2)
+    declared = _reference_uint(tokens[1], line_no, 2)
+    if declared < 1:
+        raise ParseError("modulus count must be positive", line_no, 2)
+    if len(tokens) != 2 + declared:
+        raise ParseError(
+            f"expected {declared} moduli, found {len(tokens) - 2}", line_no, 2
+        )
+    mods = []
+    for position, token in enumerate(tokens[2:], start=3):
+        m = _reference_uint(token, line_no, position)
+        if m < 2:
+            raise ParseError(f"modulus {m} is below 2", line_no, position)
+        mods.append(m)
+    try:
+        return ModuliBase.from_moduli(mods)
+    except ValueError as exc:
+        raise ParseError(str(exc), line_no, 3) from exc
+
+
+def reference_parse_res_tokens(tokens, base: ModuliBase, line_no: int) -> tuple:
+    """A residue line's tokens, checked and converted one at a time."""
+    if not tokens or tokens[0] != "res":
+        raise ParseError("expected 'res' keyword", line_no, 1)
+    if len(tokens) != 1 + len(base.moduli):
+        raise ParseError(
+            f"expected {len(base.moduli)} residues, found {len(tokens) - 1}",
+            line_no,
+            1,
+        )
+    residues = []
+    for position, (token, m) in enumerate(zip(tokens[1:], base.moduli), start=2):
+        x = _reference_uint(token, line_no, position)
+        if x >= m:
+            raise ParseError(f"residue {x} not below modulus {m}", line_no, position)
+        residues.append(x)
+    return tuple(residues)
+
+
+# --- exact powers: reference for the float-settled floor of value / log2 n ---
+
+
+def reference_floor_div_log2(value: int, n: int) -> int:
+    """The largest k with n**k <= 2**value, by comparing exact powers."""
+    estimate = max(0, int(value / math.log2(n)))
+    while n ** (estimate + 1) <= 1 << value:
+        estimate += 1
+    while estimate > 0 and n**estimate > 1 << value:
+        estimate -= 1
+    return estimate

@@ -1,7 +1,12 @@
 """Command line behaviour: outputs, exit codes, determinism."""
 
+import itertools
+import os
+import random
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +66,26 @@ def test_encode_to_file(capsys, tmp_path):
     assert code == 0
     assert lines_of(out) == ["reduced 0", f"out {path}"]
     assert path.read_text() == "CRR1\nbase 3 5 7 11\nres 3 2 1\n"
+
+
+def test_encode_overwrites_a_longer_file_in_place(capsys, tmp_path):
+    path = tmp_path / "x.crr"
+    path.write_text("stale line\n" * 50)
+    inode = path.stat().st_ino
+    code, _, _ = run(
+        capsys, "encode", "--value", "23", "--count", "3", "--out", str(path)
+    )
+    assert code == 0
+    assert path.read_bytes() == b"CRR1\nbase 3 5 7 11\nres 3 2 1\n"
+    assert path.stat().st_ino == inode
+
+
+def test_encode_to_a_device_is_not_cut(capsys):
+    code, out, _ = run(
+        capsys, "encode", "--value", "23", "--count", "3", "--out", os.devnull
+    )
+    assert code == 0
+    assert lines_of(out) == ["reduced 0", f"out {os.devnull}"]
 
 
 def test_encode_reduced_flag_for_out_of_range_value(capsys):
@@ -485,3 +510,72 @@ def test_missing_subcommand_is_usage_error(capsys):
 
 def test_unknown_subcommand_is_usage_error(capsys):
     assert run(capsys, "frobnicate")[0] == 2
+
+
+def test_reused_parser_matches_a_fresh_one(capsys, tmp_path, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    base, vector, bad = (tmp_path / name for name in ("b.txt", "v.crr", "bad.crr"))
+    bad.write_text("CRR1\nbase 2 5 7\nres 2 9\n")
+    prob = ("decode", "--in", str(vector), "--method", "prob", "--stats")
+    calls = [
+        ("gen-base", "--count", "4"),
+        ("gen-base", "--count", "5", "--out", str(base)),
+        ("encode", "--value", "23", "--base-file", str(base), "--out", str(vector)),
+        ("encode", "--value", "-5", "--count", "3"),
+        ("decode", "--in", str(vector), "--method", "garner", "--stats"),
+        (*prob, "--seed", "random"),
+        ("div", "--x", "100", "--y", "7", "--n", "8", "--verify"),
+        ("prob-stats", "--r", "6", "--trials", "20"),
+        ("check-bound", "--n-min", "8", "--n-max", "10", "--pretty"),
+        ("selftest", "--seed", "3"),
+        (),  # missing subcommand
+        ("encode", "--value", "1"),  # neither --count nor --base-file
+        ("decode", "--in", str(bad)),  # parse error
+        (*prob, "--seed", "random"),
+    ]
+
+    def run_all():
+        # the same "random" seeds in both runs, drawn at parse time
+        draws = itertools.count(1 << 40)
+        monkeypatch.setattr(
+            random.SystemRandom, "getrandbits", lambda self, bits: next(draws)
+        )
+        return [run(capsys, *argv) for argv in calls]
+
+    reused = run_all()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert reused == run_all()
+    assert [code for code, _, _ in reused[-4:-1]] == [2, 2, 2]
+    assert reused[-4][2].startswith("usage: crrkit")
+    assert reused[-2][2].startswith("parse error: line 3, token 3:")
+    seeds = [lines_of(reused[i][1])[2] for i in (5, -1)]
+    assert seeds == [f"seed {1 << 40}", f"seed {(1 << 40) + 1}"]
+    monkeypatch.undo()  # the cached parser again, with real entropy
+    echoed = {lines_of(run(capsys, *prob, "--seed", "random")[1])[2] for _ in "ab"}
+    assert len(echoed) == 2
+
+
+def run_python(*args):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_python_dash_m_runs_the_cli():
+    expected = (0, "base 4 5 7 11 13\n", "")
+    assert run_python("-m", "crrkit", "gen-base", "--count", "4") == expected
+
+
+def test_import_builds_no_parser_and_loads_no_openssl():
+    # hashlib loads OpenSSL (about 4 MiB resident); only prob-stats needs it
+    code = (
+        "import sys, crrkit.cli as cli; "
+        "print(cli.build_parser.cache_info().currsize, 'hashlib' in sys.modules)"
+    )
+    assert run_python("-c", code) == (0, "0 False\n", "")

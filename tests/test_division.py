@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -26,7 +27,14 @@ from crrkit import (
     series_numerators,
     strict_moduli_count,
 )
-from _support import UnderApprox, bisect_scaler, prefix_products, suffix_product_series
+from crrkit.division import _floor_div_log2
+from _support import (
+    UnderApprox,
+    bisect_scaler,
+    prefix_products,
+    reference_floor_div_log2,
+    suffix_product_series,
+)
 
 
 # --- sizing formulas ---
@@ -56,6 +64,30 @@ def test_strict_moduli_count_definition_exact():
     for n in (4, 8, 16, 63, 64, 100, 128, 511, 512):
         k = strict_moduli_count(n) - 3 * n
         assert n**k <= 1 << (n * n) < n ** (k + 1)
+
+
+def test_float_settled_sizes_match_exact_powers():
+    for n in range(4, 601):
+        assert strict_moduli_count(n) - 3 * n == reference_floor_div_log2(n * n, n)
+    for n in range(4, 3001):
+        assert group_size(n) == reference_floor_div_log2(n, n)
+
+
+def test_power_of_two_sizes_are_exact_ties():
+    # n = 2**e makes k * log2(n) == value reachable; k = value // e
+    for e in range(2, 13):
+        n = 1 << e
+        for value in (n, n * n):
+            assert _floor_div_log2(value, n) == reference_floor_div_log2(value, n)
+
+
+def test_near_tie_falls_back_to_exact_powers(monkeypatch):
+    # a margin of one half puts every quotient near a tie, so every call
+    # takes the exact comparison from the float's floor
+    monkeypatch.setattr(sys.modules["crrkit.division"], "_TIE_MARGIN", 0.5)
+    for n in (*range(4, 130), 255, 257, 1000):
+        for value in (n, n * n, 5 * n + 1):
+            assert _floor_div_log2(value, n) == reference_floor_div_log2(value, n)
 
 
 def test_strict_count_past_prime_ceiling_fails_before_exact_power():

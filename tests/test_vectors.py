@@ -1,9 +1,10 @@
 """Residue vectors: encoding, ring operations, and the CRR1 format."""
 
 import random
+import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from crrkit import (
@@ -16,7 +17,14 @@ from crrkit import (
     prime_base,
     serialize,
 )
-from _support import brute_force_crt, random_coprime_base
+from crrkit.moduli import _parse_base_fields
+from crrkit.vectors import _parse_res_fields
+from _support import (
+    brute_force_crt,
+    random_coprime_base,
+    reference_parse_base_tokens,
+    reference_parse_res_tokens,
+)
 
 BASE_357 = ModuliBase.from_moduli([3, 5, 7])
 BASE_5_7_11 = prime_base(3)
@@ -156,3 +164,92 @@ def test_parse_rejects_malformed_tokens():
     with pytest.raises(ParseError) as info:
         parse("CRR1\nbase 2 6 10\nres 1 1\n")  # moduli share a factor
     assert info.value.line == 2
+
+
+# --- one-pass line checks against the per-token reference ---
+
+# an empty token comes from a double space; "\u0663" is ARABIC-INDIC DIGIT
+# THREE, which int() accepts and the format does not
+BAD_TOKENS = ("", "00", "05", "+5", "-2", "1_0", "\u0663", "5\t", "x", "5.0")
+SMALL = st.integers(min_value=0, max_value=15).map(str)
+TOKEN = st.one_of(SMALL, SMALL, st.sampled_from(BAD_TOKENS))
+RES_BASE = ModuliBase.from_moduli([5, 7, 11, 13])
+
+
+def outcome(fn, *args):
+    """The parsed value, or the ParseError's message, line and token."""
+    try:
+        value = fn(*args)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.token
+    return value.moduli if isinstance(value, ModuliBase) else tuple(value)
+
+
+@st.composite
+def token_lines(draw, keyword: str, body):
+    tokens = [draw(st.sampled_from((keyword,) * 6 + ("", "Base")))]
+    tokens += draw(body)
+    kept = draw(st.one_of(st.just(len(tokens)), st.integers(1, len(tokens))))
+    return " ".join(tokens[:kept])
+
+
+@st.composite
+def base_bodies(draw):
+    moduli = draw(st.lists(TOKEN, max_size=6))
+    count = draw(st.one_of(st.just(str(len(moduli))), TOKEN))
+    return [count, *moduli]
+
+
+@given(token_lines("base", base_bodies()), st.integers(1, 3))
+@example("base 3 5 7 11", 1)
+@example("base 3 5  7 11", 2)  # double space
+@example("base 2 00 7", 1)
+@example("base 05 5 7 11 13 17", 1)
+@example("base 2 +5 7", 1)
+@example("base 2 5 1_0", 1)
+@example("base 2 5 \u0663", 1)
+@example("base 2 5\t 7", 1)
+@example("base 2 5 0", 2)
+@example("base 2 1 7", 2)
+@example("base 2 6 10", 2)  # not coprime
+@example("base 0", 1)
+@example("base", 1)
+@example("base ", 1)
+def test_base_line_errors_match_per_token_reference(line, line_no):
+    assert outcome(_parse_base_fields, line, line_no) == outcome(
+        reference_parse_base_tokens, line.split(" "), line_no
+    )
+
+
+RES_BODIES = st.one_of(st.lists(TOKEN, min_size=4, max_size=4), st.lists(TOKEN))
+
+
+@given(token_lines("res", RES_BODIES), st.integers(1, 3))
+@example("res 3 2 1 0", 3)
+@example("res 3 2 1 13", 3)  # residue equal to its modulus
+@example("res 5 2 1 0", 3)
+@example("res 3  1 0", 3)
+@example("res 3 00 1 0", 3)
+@example("res 3 05 1 0", 3)
+@example("res 3 +5 1 0", 3)
+@example("res 3 1_0 1 0", 3)
+@example("res 3 \u0663 1 0", 3)
+@example("res 3 5\t 1 0", 3)
+@example("res 3 2 1", 3)
+@example("res", 3)
+def test_res_line_errors_match_per_token_reference(line, line_no):
+    assert outcome(_parse_res_fields, line, RES_BASE, line_no) == outcome(
+        reference_parse_res_tokens, line.split(" "), RES_BASE, line_no
+    )
+
+
+def test_token_past_int_digit_limit_is_located_like_the_reference():
+    long_token = "1" + "0" * (sys.get_int_max_str_digits() + 1)
+    # an earlier bad token is named first, as the per-token walk names it
+    line = f"base 2 0 {long_token}"
+    expected = outcome(reference_parse_base_tokens, line.split(" "), 1)
+    assert expected[2] == 3
+    assert outcome(_parse_base_fields, line, 1) == expected
+    # a long token alone is still refused by int(), as it was
+    with pytest.raises(ValueError, match="digits"):
+        _parse_base_fields(f"base 1 {long_token}", 1)
