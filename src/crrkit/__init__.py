@@ -32,10 +32,8 @@ from .errors import (
 from .moduli import (
     PRIME_INDEX_CEILING,
     ModuliBase,
-    format_base_line,
     nth_prime,
     pairwise_coprime,
-    parse_base_line,
     prime_base,
 )
 from .reconstruct import (
@@ -51,7 +49,14 @@ from .reconstruct import (
     reconstruct,
     sequential_coefficients,
 )
-from .vectors import CrrVector, encode, parse, serialize
+from .vectors import (
+    CrrVector,
+    encode,
+    format_base_line,
+    parse,
+    parse_base_line,
+    serialize,
+)
 
 __version__ = "0.1.0"
 

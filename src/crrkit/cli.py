@@ -20,13 +20,7 @@ from collections import Counter
 
 from .division import DivideResult, build_plan, divide, group_bound_report
 from .errors import CrrError, ParseError, PrimeLimitError
-from .moduli import (
-    format_base_line,
-    pairwise_coprime,
-    parse_base_line,
-    prime_base,
-    require_prime_index,
-)
+from .moduli import pairwise_coprime, prime_base, require_prime_index
 from .reconstruct import (
     chain_weights,
     classical_coefficients,
@@ -37,7 +31,7 @@ from .reconstruct import (
     reconstruct,
     sequential_coefficients,
 )
-from .vectors import encode, parse, serialize
+from .vectors import encode, format_base_line, parse, parse_base_line, serialize
 
 USAGE_EXIT = 2
 FAILURE_EXIT = 3

@@ -1,4 +1,4 @@
-"""Prime moduli bases: generation, validation, and the base text line.
+"""Prime moduli bases: generation, validation, and the product tree.
 
 A base is an ordered tuple of pairwise-coprime moduli.  The canonical
 generated base consists of consecutive primes starting at 5, so that every
@@ -11,14 +11,12 @@ for its product never multiplies its moduli.
 import itertools
 import math
 import operator
-import re
 import threading
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NoReturn
 
-from .errors import ParseError, PrimeLimitError
+from .errors import PrimeLimitError
 
 PRIME_INDEX_CEILING = 10_000_000
 
@@ -229,79 +227,3 @@ def prime_base(count: int) -> ModuliBase:
     require_prime_index(count + 2)
     mods = tuple(nth_prime(i + 2) for i in range(1, count + 1))
     return ModuliBase(mods)
-
-
-# --- the one-line base text format: "base <r> <m_1> ... <m_r>" ---
-
-_DECIMAL = re.compile(r"0|[1-9][0-9]*")
-# the tokens after a line's keyword: single-space separated ASCII decimals
-_DECIMALS = re.compile(r"(?:0|[1-9][0-9]*)(?: (?:0|[1-9][0-9]*))*")
-
-
-def _line_uints(line: str, keyword: str):
-    """The ints after ``keyword`` on a line, checked by one regex match.
-
-    None when the line is not ``keyword`` followed by single-space separated
-    decimals, or a token is past Python's int digit limit; the caller then
-    walks the tokens to name the first bad one.
-    """
-    head, _, rest = line.partition(" ")
-    if head != keyword or not _DECIMALS.fullmatch(rest):
-        return None
-    try:
-        return list(map(int, rest.split(" ")))
-    except ValueError:
-        return None
-
-
-def _parse_uint(token: str, line_no: int, position: int) -> int:
-    if not _DECIMAL.fullmatch(token):
-        raise ParseError(f"malformed integer {token!r}", line_no, position)
-    return int(token)
-
-
-def _raise_base_error(tokens, line_no: int) -> NoReturn:
-    """Raise the ParseError for the first bad token of a base line."""
-    if tokens[0] != "base":
-        raise ParseError("expected 'base' keyword", line_no, 1)
-    if len(tokens) < 2:
-        raise ParseError("missing modulus count", line_no, 2)
-    declared = _parse_uint(tokens[1], line_no, 2)
-    if declared < 1:
-        raise ParseError("modulus count must be positive", line_no, 2)
-    if len(tokens) != 2 + declared:
-        raise ParseError(
-            f"expected {declared} moduli, found {len(tokens) - 2}", line_no, 2
-        )
-    for position, token in enumerate(tokens[2:], start=3):
-        m = _parse_uint(token, line_no, position)
-        if m < 2:
-            raise ParseError(f"modulus {m} is below 2", line_no, position)
-    raise RuntimeError(f"line {line_no} failed its one-pass check on no token")
-
-
-def _parse_base_fields(line: str, line_no: int) -> ModuliBase:
-    values = _line_uints(line, "base")
-    # values[0] is the declared count; an empty modulus list goes to the walk
-    if (
-        values is None
-        or values[0] != len(values) - 1
-        or min(values[1:], default=0) < 2
-    ):
-        _raise_base_error(line.split(" "), line_no)
-    try:
-        return ModuliBase.from_moduli(values[1:])
-    except ValueError as exc:
-        raise ParseError(str(exc), line_no, 3) from exc
-
-
-def format_base_line(base: ModuliBase) -> str:
-    mods = " ".join(map(str, base.moduli))
-    return f"base {len(base.moduli)} {mods}"
-
-
-def parse_base_line(text: str) -> ModuliBase:
-    body = text[:-1] if text.endswith("\n") else text
-    if "\n" in body or "\r" in body:
-        raise ParseError("expected a single base line", 1)
-    return _parse_base_fields(body, line_no=1)

@@ -81,17 +81,19 @@ def sequential_coefficients(
     """
     moduli = base.moduli
     r = len(moduli)
-    prefixes = [1]
+    prefix = 1
     pairs = []
     for j in range(1, r):
-        prefixes.append(prefixes[-1] * moduli[j - 1])
-        pairs.append(_bezout_pair(moduli[j], prefixes[j]))
+        prefix *= moduli[j - 1]
+        pairs.append(_bezout_pair(moduli[j], prefix))
     weights = [0] * r
     suffix = 1
+    # prefix is prefix_i on each step, walked back by exact division
     for i in range(r - 1, 0, -1):
         alpha, beta = pairs[i - 1]
         weights[i] = beta * suffix % moduli[i]
-        suffix = suffix * alpha % prefixes[i]
+        suffix = suffix * alpha % prefix
+        prefix //= moduli[i - 1]
     weights[0] = suffix % moduli[0]
     return CrtCoefficients(base, tuple(weights), len(pairs)), tuple(pairs)
 

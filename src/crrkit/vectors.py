@@ -1,6 +1,10 @@
-"""Residue vectors over a moduli base, ring operations, and the CRR1 text format.
+"""Residue vectors over a moduli base, ring operations, and the text formats.
 
-File format (UTF-8, LF line endings, bit-exact):
+Both formats are UTF-8 and bit-exact.  A base line stands alone:
+
+    base <r> <m_1> ... <m_r>
+
+and a CRR1 file is three LF-terminated lines, its second a base line:
 
     CRR1
     base <r> <m_1> ... <m_r>
@@ -10,17 +14,12 @@ Decimal integers, single spaces, no leading zeros, trailing newline required.
 """
 
 import operator
+import re
 from dataclasses import dataclass
 from typing import NoReturn
 
 from .errors import BaseMismatchError, ParseError
-from .moduli import (
-    ModuliBase,
-    _line_uints,
-    _parse_base_fields,
-    _parse_uint,
-    _require_int,
-)
+from .moduli import ModuliBase, _require_int
 
 MAGIC = "CRR1"
 
@@ -76,9 +75,8 @@ def encode(value: int, base: ModuliBase) -> CrrVector:
 
 
 def serialize(vector: CrrVector) -> str:
-    mods = " ".join(map(str, vector.base.moduli))
     res = " ".join(map(str, vector.residues))
-    return f"{MAGIC}\nbase {len(vector.base.moduli)} {mods}\nres {res}\n"
+    return f"{MAGIC}\n{format_base_line(vector.base)}\nres {res}\n"
 
 
 def parse(text: str) -> CrrVector:
@@ -98,6 +96,76 @@ def parse(text: str) -> CrrVector:
     return CrrVector(base, residues)
 
 
+def format_base_line(base: ModuliBase) -> str:
+    mods = " ".join(map(str, base.moduli))
+    return f"base {len(base.moduli)} {mods}"
+
+
+def parse_base_line(text: str) -> ModuliBase:
+    body = text[:-1] if text.endswith("\n") else text
+    if "\n" in body or "\r" in body:
+        raise ParseError("expected a single base line", 1)
+    return _parse_base_fields(body, line_no=1)
+
+
+# --- token checks: a line passes one regex and its bounds as text before its
+# tokens are converted, once; a line that fails is walked token by token to
+# name the first bad one.  The walks convert nothing, so an over-long token
+# costs no quadratic int() or str(): its canonical text is its value. ---
+
+_DECIMAL = re.compile(r"0|[1-9][0-9]*")
+# the tokens after a line's keyword: single-space separated ASCII decimals
+_DECIMALS = re.compile(r"(?:0|[1-9][0-9]*)(?: (?:0|[1-9][0-9]*))*")
+# a base line's: a positive count, then one or more moduli of at least 2
+_BASE_DECIMALS = re.compile(r"[1-9][0-9]*(?: (?:[1-9][0-9]+|[2-9]))+")
+
+
+def _below(a: str, b: str) -> bool:
+    """a < b for two canonical decimals, compared as text."""
+    return (len(a), a) < (len(b), b)
+
+
+def _check_decimal(token: str, line_no: int, position: int):
+    if not _DECIMAL.fullmatch(token):
+        raise ParseError(f"malformed integer {token!r}", line_no, position)
+
+
+def _raise_base_error(tokens, line_no: int) -> NoReturn:
+    """Raise the ParseError for the first bad token of a base line."""
+    if tokens[0] != "base":
+        raise ParseError("expected 'base' keyword", line_no, 1)
+    if len(tokens) < 2:
+        raise ParseError("missing modulus count", line_no, 2)
+    declared, found = tokens[1], len(tokens) - 2
+    _check_decimal(declared, line_no, 2)
+    if declared == "0":
+        raise ParseError("modulus count must be positive", line_no, 2)
+    if declared != str(found):
+        raise ParseError(f"expected {declared} moduli, found {found}", line_no, 2)
+    for position, token in enumerate(tokens[2:], start=3):
+        _check_decimal(token, line_no, position)
+        if _below(token, "2"):
+            raise ParseError(f"modulus {token} is below 2", line_no, position)
+    raise RuntimeError(f"line {line_no} failed its one-pass check on no token")
+
+
+def _parse_base_fields(line: str, line_no: int) -> ModuliBase:
+    head, _, rest = line.partition(" ")
+    count, *fields = rest.split(" ")
+    if (
+        head != "base"
+        or not _BASE_DECIMALS.fullmatch(rest)
+        or count != str(len(fields))
+    ):
+        _raise_base_error(line.split(" "), line_no)
+    # every token is valid text, so only the int digit limit can refuse one
+    moduli = list(map(int, fields))
+    try:
+        return ModuliBase.from_moduli(moduli)
+    except ValueError as exc:
+        raise ParseError(str(exc), line_no, 3) from exc
+
+
 def _raise_res_error(tokens, base: ModuliBase, line_no: int) -> NoReturn:
     """Raise the ParseError for the first bad token of a residue line."""
     if tokens[0] != "res":
@@ -109,18 +177,26 @@ def _raise_res_error(tokens, base: ModuliBase, line_no: int) -> NoReturn:
             1,
         )
     for position, (token, m) in enumerate(zip(tokens[1:], base.moduli), start=2):
-        x = _parse_uint(token, line_no, position)
-        if x >= m:
-            raise ParseError(f"residue {x} not below modulus {m}", line_no, position)
+        _check_decimal(token, line_no, position)
+        if not _below(token, str(m)):
+            raise ParseError(
+                f"residue {token} not below modulus {m}", line_no, position
+            )
     raise RuntimeError(f"line {line_no} failed its one-pass check on no token")
 
 
 def _parse_res_fields(line: str, base: ModuliBase, line_no: int) -> list[int]:
-    values = _line_uints(line, "res")
+    head, _, rest = line.partition(" ")
+    fields = rest.split(" ")
+    # a residue below its modulus is no longer than the longest modulus
     if (
-        values is None
-        or len(values) != len(base.moduli)
-        or any(map(operator.ge, values, base.moduli))
+        head != "res"
+        or not _DECIMALS.fullmatch(rest)
+        or len(fields) != len(base.moduli)
+        or max(map(len, fields)) > len(str(max(base.moduli)))
     ):
+        _raise_res_error(line.split(" "), base, line_no)
+    values = list(map(int, fields))
+    if any(map(operator.ge, values, base.moduli)):
         _raise_res_error(line.split(" "), base, line_no)
     return values

@@ -231,6 +231,19 @@ def test_decode_corrupt_file_is_parse_error(capsys, tmp_path):
     assert "line 3" in err
 
 
+def test_decode_refuses_over_long_residue_by_its_text(capsys, tmp_path):
+    digits = "1" + "0" * 200_000
+    path = tmp_path / "long.crr"
+    path.write_text(f"CRR1\nbase 1 5\nres {digits}\n")
+    code, out, err = run(capsys, "decode", "--in", str(path))
+    assert code == 2
+    assert out == ""
+    # refused by its length as text: no conversion of its 200,001 digits
+    assert err == (
+        f"parse error: line 3, token 2: residue {digits} not below modulus 5\n"
+    )
+
+
 def test_decode_rejects_unknown_method(capsys, encoded_23):
     code, _, _ = run(capsys, "decode", "--in", encoded_23, "--method", "magic")
     assert code == 2

@@ -1,0 +1,37 @@
+"""Module boundaries: no private name crosses between sibling modules, and one
+module owns both text formats, the base line and the CRR1 file."""
+
+import ast
+from pathlib import Path
+
+import crrkit
+
+PACKAGE = Path(crrkit.__file__).parent
+# the int type check that every constructor shares
+SHARED_PRIVATE = {"_require_int"}
+
+
+def test_no_private_name_is_imported_from_a_sibling_module():
+    crossings = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and (node.module or "").split(".")[0] != "crrkit":
+                continue
+            crossings += [
+                f"{path.name}: {alias.name}"
+                for alias in node.names
+                if alias.name.startswith("_") and alias.name not in SHARED_PRIVATE
+            ]
+    assert crossings == []
+
+
+def test_text_formats_live_in_vectors():
+    formats = (
+        crrkit.parse,
+        crrkit.serialize,
+        crrkit.parse_base_line,
+        crrkit.format_base_line,
+    )
+    assert [fn.__module__ for fn in formats] == ["crrkit.vectors"] * len(formats)

@@ -14,11 +14,11 @@ from crrkit import (
     ParseError,
     encode,
     parse,
+    parse_base_line,
     prime_base,
     serialize,
 )
-from crrkit.moduli import _parse_base_fields
-from crrkit.vectors import _parse_res_fields
+from crrkit.vectors import _parse_base_fields, _parse_res_fields
 from _support import (
     brute_force_crt,
     random_coprime_base,
@@ -212,6 +212,8 @@ def base_bodies(draw):
 @example("base 2 5 0", 2)
 @example("base 2 1 7", 2)
 @example("base 2 6 10", 2)  # not coprime
+@example("base 10 5 7", 1)  # count longer than the real count
+@example("base 3 5 7", 1)  # count as long as the real count, and larger
 @example("base 0", 1)
 @example("base", 1)
 @example("base ", 1)
@@ -227,6 +229,8 @@ RES_BODIES = st.one_of(st.lists(TOKEN, min_size=4, max_size=4), st.lists(TOKEN))
 @given(token_lines("res", RES_BODIES), st.integers(1, 3))
 @example("res 3 2 1 0", 3)
 @example("res 3 2 1 13", 3)  # residue equal to its modulus
+@example("res 3 100 1 0", 3)  # residue longer than its modulus
+@example("res 3 2 1 14", 3)  # residue as long as its modulus, and larger
 @example("res 5 2 1 0", 3)
 @example("res 3  1 0", 3)
 @example("res 3 00 1 0", 3)
@@ -253,3 +257,15 @@ def test_token_past_int_digit_limit_is_located_like_the_reference():
     # a long token alone is still refused by int(), as it was
     with pytest.raises(ValueError, match="digits"):
         _parse_base_fields(f"base 1 {long_token}", 1)
+
+
+def test_over_long_count_and_residue_are_parse_errors():
+    # 5000 digits is past the default int digit limit; the tokens are
+    # refused by their text before any conversion, so int() never sees them
+    zeros = "0" * 5000
+    with pytest.raises(ParseError, match="^line 3, token 2: residue 10+ not below"):
+        parse(f"CRR1\nbase 1 5\nres 1{zeros}\n")
+    with pytest.raises(
+        ParseError, match=f"^line 1, token 2: expected 1{zeros} moduli, found 1$"
+    ):
+        parse_base_line(f"base 1{zeros} 5")
