@@ -6,6 +6,7 @@ bounded operands through scaled reciprocal series.
 """
 
 from .division import (
+    MAX_DIVISION_BITS,
     DivideResult,
     DivisionPlan,
     GroupBoundReport,
@@ -72,6 +73,7 @@ __all__ = [
     "GroupBoundError",
     "GroupBoundReport",
     "LinearFormSample",
+    "MAX_DIVISION_BITS",
     "ModuliBase",
     "PRIME_INDEX_CEILING",
     "ParseError",

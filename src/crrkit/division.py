@@ -7,8 +7,8 @@ The pipeline for n-bit operands:
 2. slice n+1 disjoint groups of consecutive extension moduli whose products
    clear the precision floor 2**(n+3);
 3. take one truncated numerator per group and sum the product series
-   1 + t1/A1 + (t1 t2)/(A1 A2) + ..., an exact rational that underapproximates
-   the scaled reciprocal within 2**-n;
+   1 + t1/A1 + (t1 t2)/(A1 A2) + ... by binary splitting, an exact rational
+   that underapproximates the scaled reciprocal within 2**-n;
 4. multiply through and floor: the candidate quotient is exact or one short,
    settled by a single comparison against the dividend.
 
@@ -16,6 +16,7 @@ All rationals are kept exact; every one-sided bound is asserted, not assumed.
 The fixed "strict" layout uses floor(n**2 / log2 n) + 3n moduli in groups of
 floor(n / log2 n); its group bound is only guaranteed from n = 64 up, so an
 "adaptive" mode grows the group size until the floor is cleared, for small n.
+Either way n is at most MAX_DIVISION_BITS, checked before any prime is sieved.
 """
 
 import math
@@ -31,6 +32,21 @@ from .vectors import encode
 def _require_bit_size(n: int):
     if n < 4:
         raise ValueError("bit size must be at least 4")
+
+
+# Largest operand bit size that divide and build_plan accept.  A plan's cost
+# grows a little faster than n**3: the series reaches about n**2 bits, and
+# the strict layout sieves about n**2 / log2(n) primes.  One cold
+# `crrkit div --n N` took 1.2 s (adaptive) and 2.0 s (strict) at N = 1000,
+# 8.3 s and 11.6 s at N = 2000, on a 2-vCPU VM under Python 3.11.7.
+MAX_DIVISION_BITS = 2048
+
+
+def _require_division_size(n: int):
+    """Check the bit size before any plan is built or any prime sieved."""
+    _require_bit_size(n)
+    if n > MAX_DIVISION_BITS:
+        raise ValueError(f"bit size {n} above division bound {MAX_DIVISION_BITS}")
 
 
 # relative width of the band around a tie in which the float quotient of
@@ -180,8 +196,7 @@ def series_numerators(y: int, scale: int, groups) -> tuple[int, ...]:
     shortfall = scale - y
     numerators = []
     for index, product in enumerate(groups, start=1):
-        t = shortfall * product // scale
-        gap = shortfall * product - scale * t
+        t, gap = divmod(shortfall * product, scale)
         if gap < 0 or gap << bits > scale * product:
             raise GroupBoundError(index, product, 1 << bits)
         numerators.append(t)
@@ -189,13 +204,27 @@ def series_numerators(y: int, scale: int, groups) -> tuple[int, ...]:
 
 
 def _series_from(numerators, groups) -> tuple[int, int]:
-    # Horner form from the last group inward: 1 + (t/A) * (num/den) is
-    # (A*den + t*num) / (A*den), so every step is small-by-big and the final
-    # denominator is exactly prod(groups).
-    numerator = denominator = 1
-    for t, a in zip(reversed(numerators), reversed(groups)):
-        numerator, denominator = a * denominator + t * numerator, a * denominator
-    return numerator, denominator
+    # Bottom-up binary splitting (Haible & Papanikolaou 1998): a run of
+    # groups i..j is (P, Q, S) with P = t_i..t_j, Q = A_i..A_j and S/Q the
+    # run's partial sum t_i/A_i + (t_i t_{i+1})/(A_i A_{i+1}) + ...  Two
+    # neighbouring runs join as (P1 P2, Q1 Q2, S1 Q2 + P1 S2), so the
+    # operands of each product stay balanced and fast multiplication pays
+    # off, where n + 1 small-by-big Horner steps on a numerator of about
+    # n**2 bits are quadratic.  An odd last run is carried up unchanged.
+    # The result is (Q + S) / Q with Q = prod(groups); no groups give 1/1.
+    runs = [(t, a, t) for t, a in zip(numerators, groups)]
+    if not runs:
+        return 1, 1
+    while len(runs) > 1:
+        joined = [
+            (p1 * p2, q1 * q2, s1 * q2 + p1 * s2)
+            for (p1, q1, s1), (p2, q2, s2) in zip(runs[::2], runs[1::2])
+        ]
+        if len(runs) % 2:
+            joined.append(runs[-1])
+        runs = joined
+    _, q, s = runs[0]
+    return q + s, q
 
 
 def reciprocal_series(numerators, groups) -> tuple[int, int]:
@@ -274,7 +303,7 @@ def build_plan(y: int, n: int, mode: str = "adaptive") -> DivisionPlan:
     The assembled series is checked exactly to underapproximate scale/y
     within 2**-n before the plan is returned.
     """
-    _require_bit_size(n)
+    _require_division_size(n)
     if not 2 <= y < 1 << n:
         raise ValueError("divisor out of range for the bit size")
     base, size, groups = _static_parts(n, mode)
@@ -293,7 +322,7 @@ def divide(x: int, y: int, n: int, mode: str = "adaptive") -> DivideResult:
     one short; the exact comparison against x settles which, and anything else
     is an internal error.
     """
-    _require_bit_size(n)
+    _require_division_size(n)
     if y == 0:
         raise ZeroDivisionError("division by zero")
     if not 0 <= x < 1 << n:

@@ -220,10 +220,17 @@ def _bezout_pair(a: int, b: int) -> tuple[int, int]:
 
     u is the inverse of a mod b taken in (-b/2, b/2], and v follows from
     u*a + v*b == 1.  Euclid's own coefficients satisfy |u| <= b/2 (Knuth,
-    TAOCP vol. 2, 4.5.2), so this is the same pair, from one ``pow``.
-    ValueError when a and b share a factor.
+    TAOCP vol. 2, 4.5.2), so this is the same pair, from one ``pow``.  The
+    inverse is taken modulo the smaller argument: for a < b, v is b^-1 mod a
+    in (-a/2, a/2], which holds exactly when u lies in (-b/2, b/2], and u
+    follows.  ValueError when a and b share a factor.
     """
     try:
+        if a < b:
+            v = pow(b, -1, a)
+            if 2 * v > a:
+                v -= a
+            return (1 - v * b) // a, v
         u = pow(a, -1, b)
     except ValueError:
         raise _not_invertible(b, a) from None

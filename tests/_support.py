@@ -99,7 +99,7 @@ class UnderApprox:
 def suffix_product_series(numerators, groups) -> tuple[int, int]:
     """Reciprocal series summed term by term over suffix products of the groups.
 
-    Reference for the Horner form: the same unreduced (numerator, denominator)
+    Reference for `reciprocal_series`: the same unreduced (numerator, denominator)
     with denominator prod(groups).
     """
     suffix = [1] * (len(groups) + 1)
@@ -114,6 +114,19 @@ def suffix_product_series(numerators, groups) -> tuple[int, int]:
         prefix *= t
         total += prefix * suffix[i + 1]
     return total, denominator
+
+
+def reference_horner_series(numerators, groups) -> tuple[int, int]:
+    """Reciprocal series by Horner's rule from the last group inward.
+
+    1 + (t/A) * (num/den) is (A*den + t*num) / (A*den): n + 1 small-by-big
+    steps, quadratic in the total bit length.  Reference for binary
+    splitting: the same unreduced (numerator, denominator = prod(groups)).
+    """
+    numerator = denominator = 1
+    for t, a in zip(reversed(numerators), reversed(groups)):
+        numerator, denominator = a * denominator + t * numerator, a * denominator
+    return numerator, denominator
 
 
 def bisect_scaler(y: int, prefix: tuple[int, ...]) -> Scaler:

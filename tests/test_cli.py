@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from crrkit import cli, parse_base_line
+from crrkit import MAX_DIVISION_BITS, cli, division, moduli, parse_base_line
 from crrkit.cli import main
 
 
@@ -331,13 +331,25 @@ def test_div_out_of_range_operand(capsys):
     assert code == 2
 
 
-def test_div_beyond_prime_ceiling_fails_fast(capsys):
-    # n = 15000 needs about 1.3e7 moduli, past the prime index ceiling
+def test_div_above_bit_size_bound_fails_before_any_sieve(capsys, monkeypatch):
+    # n = 15000 would need about 1.3e7 moduli; the bound on n stops it first
+    def no_sieve(index):
+        raise AssertionError("a prime was looked up")
+
+    monkeypatch.setattr(division, "nth_prime", no_sieve)
+    monkeypatch.setattr(division, "prime_base", no_sieve)
+    monkeypatch.setattr(moduli, "_extend_primes", no_sieve)
     start = time.perf_counter()
-    code, out, err = run(capsys, "div", "--x", "1", "--y", "3", "--n", "15000")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: prime index")
+    for mode in ("adaptive", "strict"):
+        argv = ("div", "--x", "1", "--y", "3", "--n", "15000", "--mode", mode)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: bit size 15000 above division bound {MAX_DIVISION_BITS}\n"
+        )
+    argv = ("div", "--x", "1", "--y", "3", "--n", str(MAX_DIVISION_BITS + 1))
+    assert run(capsys, *argv)[:2] == (2, "")
     assert time.perf_counter() - start < 10
 
 

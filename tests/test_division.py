@@ -11,6 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from crrkit import (
+    MAX_DIVISION_BITS,
     GroupBoundError,
     PrimeLimitError,
     Scaler,
@@ -19,6 +20,7 @@ from crrkit import (
     build_plan,
     build_scaler,
     divide,
+    division,
     group_bound_report,
     group_size,
     nth_prime,
@@ -33,6 +35,7 @@ from _support import (
     bisect_scaler,
     prefix_products,
     reference_floor_div_log2,
+    reference_horner_series,
     suffix_product_series,
 )
 
@@ -96,7 +99,7 @@ def test_strict_count_past_prime_ceiling_fails_before_exact_power():
     tracemalloc.start()
     try:
         with pytest.raises(PrimeLimitError, match="above ceiling"):
-            divide(1, 3, 12000, "strict")
+            strict_moduli_count(12000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -290,19 +293,32 @@ def test_reciprocal_series_randomized_bound():
 @given(
     st.lists(
         st.tuples(
-            st.just(0) | st.integers(min_value=1, max_value=1 << 40),
-            st.integers(min_value=1, max_value=1 << 40),
+            st.just(0) | st.integers(min_value=1, max_value=1 << 64),
+            st.integers(min_value=1, max_value=1 << 64),
         ),
-        max_size=24,
+        max_size=40,
     )
 )
+@example([])
 @example([(5, 7), (0, 11), (3, 13)])
+@example([(3, 5), (1, 7), (2, 11), (5, 13), (1, 17)])
 def test_reciprocal_series_matches_suffix_product_oracle(terms):
     numerators = tuple(t for t, _ in terms)
     groups = tuple(a for _, a in terms)
-    assert reciprocal_series(numerators, groups) == suffix_product_series(
-        numerators, groups
-    )
+    series = reciprocal_series(numerators, groups)
+    assert series == suffix_product_series(numerators, groups)
+    assert series == reference_horner_series(numerators, groups)
+
+
+@pytest.mark.parametrize(
+    "n, mode",
+    [(n, "adaptive") for n in (4, 5, 8, 127, 128, 129)] + [(64, "strict")],
+)
+def test_plan_series_matches_horner(n, mode):
+    rng = random.Random(n)
+    for y in (2, 3, (1 << n) - 1, rng.randrange(2, 1 << n)):
+        plan = build_plan(y, n, mode)
+        assert plan.series == reference_horner_series(plan.numerators, plan.groups)
 
 
 def test_reciprocal_series_rejects_mismatch():
@@ -417,6 +433,23 @@ def test_divide_rejects_bad_arguments():
         divide(1, 1, 3)
     with pytest.raises(ValueError):
         divide(10, 3, 8, "turbo")
+
+
+def test_bit_size_bound_is_checked_before_static_parts(monkeypatch):
+    def no_static_parts(n, mode):
+        raise LookupError(f"static parts for n = {n}")
+
+    monkeypatch.setattr(division, "_static_parts", no_static_parts)
+    with pytest.raises(LookupError):
+        build_plan(3, MAX_DIVISION_BITS)
+    for mode in ("adaptive", "strict"):
+        with pytest.raises(ValueError, match="above division bound"):
+            build_plan(3, MAX_DIVISION_BITS + 1, mode)
+        with pytest.raises(ValueError, match="above division bound"):
+            divide(1, 3, MAX_DIVISION_BITS + 1, mode)
+    # the fast paths need no plan, but obey the same bound
+    with pytest.raises(ValueError, match="above division bound"):
+        divide(0, 3, MAX_DIVISION_BITS + 1)
 
 
 def test_plan_series_denominator_is_group_product():

@@ -7,7 +7,7 @@ import sys
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from crrkit import (
@@ -73,6 +73,25 @@ def test_bezout_pair_matches_extended_gcd():
         for b in range(1, 200):
             if math.gcd(a, b) == 1:
                 assert (1, *_bezout_pair(a, b)) == extended_gcd(a, b), (a, b)
+
+
+@given(
+    st.integers(min_value=1, max_value=1 << 200),
+    st.integers(min_value=1, max_value=1 << 200),
+)
+@example(1, 1)
+@example(1, 10**30)
+@example(10**30, 1)
+@example(4, 9)
+@example(9, 4)
+@example(2**64, 3**40)
+@example(3**40, 2**64)
+def test_bezout_pair_inverts_modulo_the_smaller_argument(a, b):
+    if math.gcd(a, b) != 1:
+        with pytest.raises(ValueError, match=f"^{b} has no inverse modulo {a}:"):
+            _bezout_pair(a, b)
+        return
+    assert (1, *_bezout_pair(a, b)) == extended_gcd(a, b)
 
 
 # --- classical coefficients ---
