@@ -211,11 +211,12 @@ def _series_from(numerators, groups) -> tuple[int, int]:
     # operands of each product stay balanced and fast multiplication pays
     # off, where n + 1 small-by-big Horner steps on a numerator of about
     # n**2 bits are quadratic.  An odd last run is carried up unchanged.
+    # The last join skips P, which nothing reads and is as wide as Q.
     # The result is (Q + S) / Q with Q = prod(groups); no groups give 1/1.
     runs = [(t, a, t) for t, a in zip(numerators, groups)]
     if not runs:
         return 1, 1
-    while len(runs) > 1:
+    while len(runs) > 2:
         joined = [
             (p1 * p2, q1 * q2, s1 * q2 + p1 * s2)
             for (p1, q1, s1), (p2, q2, s2) in zip(runs[::2], runs[1::2])
@@ -223,7 +224,10 @@ def _series_from(numerators, groups) -> tuple[int, int]:
         if len(runs) % 2:
             joined.append(runs[-1])
         runs = joined
-    _, q, s = runs[0]
+    p, q, s = runs[0]
+    if len(runs) == 2:
+        _, q2, s2 = runs[1]
+        q, s = q * q2, s * q2 + p * s2
     return q + s, q
 
 

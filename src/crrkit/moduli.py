@@ -78,12 +78,18 @@ class ModuliBase:
 
     def __post_init__(self):
         mods = tuple(self.moduli)
+        plain = True
         for m in mods:
             # every parsed or generated base builds one, so plain ints skip the call
             if type(m) is not int:
                 _require_int(m, "modulus")
+                plain = False
         if not mods:
             raise ValueError("at least one modulus required")
+        if not plain:
+            # an int subclass may override its arithmetic, which the product
+            # tree and the unchecked vectors of ``crrkit.vectors`` trust
+            mods = tuple(map(operator.index, mods))
         if min(mods) < 2:
             raise ValueError("moduli must be at least 2")
         object.__setattr__(self, "moduli", mods)

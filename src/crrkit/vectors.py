@@ -11,6 +11,10 @@ and a CRR1 file is three LF-terminated lines, its second a base line:
     res <x_1> ... <x_r>
 
 Decimal integers, single spaces, no leading zeros, trailing newline required.
+
+The public ``CrrVector`` constructor checks every residue; the vectors that
+``encode``, the ring operations and ``parse`` build are valid by construction
+and skip that check.
 """
 
 import operator
@@ -26,21 +30,29 @@ MAGIC = "CRR1"
 
 @dataclass(frozen=True, repr=False)
 class CrrVector:
-    """Residues of one integer, componentwise below the matching modulus."""
+    """Residues of one integer, componentwise below the matching modulus.
+
+    An int subclass is stored as its plain int: the ring operations trust
+    every vector's residues to be exact ints and do not check their results.
+    """
 
     base: ModuliBase
     residues: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "residues", tuple(self.residues))
-        if len(self.residues) != len(self.base.moduli):
+        residues = tuple(self.residues)
+        if len(residues) != len(self.base.moduli):
             raise ValueError("residue count does not match base length")
-        for x, m in zip(self.residues, self.base.moduli):
-            # every ring op builds a vector, so plain ints skip the call
+        plain = True
+        for x, m in zip(residues, self.base.moduli):
             if type(x) is not int:
                 _require_int(x, "residue")
+                x, plain = operator.index(x), False
             if not 0 <= x < m:
                 raise ValueError(f"residue {x} out of range for modulus {m}")
+        if not plain:
+            residues = tuple(map(operator.index, residues))
+        object.__setattr__(self, "residues", residues)
 
     def __add__(self, other):
         return _combine(self, other, operator.add)
@@ -62,16 +74,27 @@ def _combine(a: CrrVector, b, op) -> CrrVector:
         return NotImplemented
     if a.base is not b.base and a.base.moduli != b.base.moduli:
         raise BaseMismatchError("vectors use different moduli bases")
-    residues = tuple(
-        op(x, y) % m for x, y, m in zip(a.residues, b.residues, a.base.moduli)
-    )
-    return CrrVector(a.base, residues)
+    combined = map(op, a.residues, b.residues)
+    return _built(a.base, tuple(map(operator.mod, combined, a.base.moduli)))
+
+
+def _built(base: ModuliBase, residues: tuple[int, ...]) -> CrrVector:
+    """A vector from a tuple of exact ints, each below its modulus; unchecked.
+
+    Its callers here pass residues that are bounded by how they were made: a
+    plain int mod its modulus, or a parsed token checked below its modulus.
+    """
+    vector = object.__new__(CrrVector)
+    object.__setattr__(vector, "base", base)
+    object.__setattr__(vector, "residues", residues)
+    return vector
 
 
 def encode(value: int, base: ModuliBase) -> CrrVector:
     """Residue vector of ``value`` reduced into [0, product)."""
     _require_int(value, "value")
-    return CrrVector(base, base._tree.remainders(value))
+    # an int subclass may override %, so the tree reduces its plain int
+    return _built(base, base._tree.remainders(operator.index(value)))
 
 
 def serialize(vector: CrrVector) -> str:
@@ -92,8 +115,7 @@ def parse(text: str) -> CrrVector:
     if lines[0] != MAGIC:
         raise ParseError(f"expected header {MAGIC!r}", 1, 1)
     base = _parse_base_fields(lines[1], line_no=2)
-    residues = _parse_res_fields(lines[2], base, line_no=3)
-    return CrrVector(base, residues)
+    return _built(base, _parse_res_fields(lines[2], base, line_no=3))
 
 
 def format_base_line(base: ModuliBase) -> str:
@@ -185,7 +207,7 @@ def _raise_res_error(tokens, base: ModuliBase, line_no: int) -> NoReturn:
     raise RuntimeError(f"line {line_no} failed its one-pass check on no token")
 
 
-def _parse_res_fields(line: str, base: ModuliBase, line_no: int) -> list[int]:
+def _parse_res_fields(line: str, base: ModuliBase, line_no: int) -> tuple[int, ...]:
     head, _, rest = line.partition(" ")
     fields = rest.split(" ")
     # a residue below its modulus is no longer than the longest modulus
@@ -196,7 +218,7 @@ def _parse_res_fields(line: str, base: ModuliBase, line_no: int) -> list[int]:
         or max(map(len, fields)) > len(str(max(base.moduli)))
     ):
         _raise_res_error(line.split(" "), base, line_no)
-    values = list(map(int, fields))
+    values = tuple(map(int, fields))
     if any(map(operator.ge, values, base.moduli)):
         _raise_res_error(line.split(" "), base, line_no)
     return values

@@ -300,8 +300,21 @@ def test_reciprocal_series_randomized_bound():
     )
 )
 @example([])
+@example([(5, 7)])
+@example([(5, 7), (3, 11)])
 @example([(5, 7), (0, 11), (3, 13)])
 @example([(3, 5), (1, 7), (2, 11), (5, 13), (1, 17)])
+# odd and even group counts around powers of two, where the last join pairs
+# two runs after a carry or none
+@example([(k + 1, 2 * k + 3) for k in range(4)])
+@example([(k + 1, 2 * k + 3) for k in range(6)])
+@example([(k + 1, 2 * k + 3) for k in range(7)])
+@example([(k + 1, 2 * k + 3) for k in range(8)])
+@example([(k + 1, 2 * k + 3) for k in range(9)])
+@example([(k + 1, 2 * k + 3) for k in range(12)])
+@example([(k + 1, 2 * k + 3) for k in range(16)])
+@example([(k + 1, 2 * k + 3) for k in range(17)])
+@example([(k + 1, 2 * k + 3) for k in range(33)])
 def test_reciprocal_series_matches_suffix_product_oracle(terms):
     numerators = tuple(t for t, _ in terms)
     groups = tuple(a for _, a in terms)

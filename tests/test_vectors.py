@@ -1,5 +1,6 @@
 """Residue vectors: encoding, ring operations, and the CRR1 format."""
 
+import math
 import random
 import sys
 
@@ -13,6 +14,7 @@ from crrkit import (
     ModuliBase,
     ParseError,
     encode,
+    nth_prime,
     parse,
     parse_base_line,
     prime_base,
@@ -107,12 +109,79 @@ def test_residue_order_independence():
 
 
 def test_vector_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^residue count does not match base length$"):
         CrrVector(BASE_357, (0, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^residue count does not match base length$"):
+        CrrVector(BASE_357, (0, 0, 0, 0))
+    with pytest.raises(ValueError, match="^residue 3 out of range for modulus 3$"):
         CrrVector(BASE_357, (3, 0, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^residue 7 out of range for modulus 7$"):
+        CrrVector(BASE_357, (0, 0, 7))
+    with pytest.raises(ValueError, match="^residue -1 out of range for modulus 7$"):
         CrrVector(BASE_357, (0, 0, -1))
+    with pytest.raises(TypeError, match="^residue False is not an int$"):
+        CrrVector(BASE_357, (0, False, 0))
+    # the first bad residue is named, whichever check it fails
+    with pytest.raises(ValueError, match="^residue 3 out of range for modulus 3$"):
+        CrrVector(BASE_357, (3, True, 0))
+
+
+class Unruly(int):
+    """An int whose arithmetic leaves the integers and whose order lies."""
+
+    def __add__(self, other):
+        return 0.5
+
+    def __mod__(self, other):
+        return 0.5
+
+    def __rmod__(self, other):
+        return 0.5
+
+    def __lt__(self, other):
+        return True
+
+
+def test_int_subclasses_act_as_plain_ints():
+    # 52 is 1 mod 3, 2 mod 5 and 3 mod 7
+    v = CrrVector(BASE_357, (Unruly(1), Unruly(2), 3))
+    assert [type(x) for x in v.residues] == [int] * 3
+    assert v + v == encode(104, BASE_357)
+    assert encode(Unruly(52), BASE_357) == v
+    base = ModuliBase.from_moduli([Unruly(3), 5, 7])
+    assert [type(m) for m in base.moduli] == [int] * 3
+    assert encode(52, base).residues == (1, 2, 3)
+    with pytest.raises(ValueError, match="^residue 3 out of range for modulus 3$"):
+        CrrVector(BASE_357, (Unruly(3), 0, 0))
+
+
+SMALL_PRIMES = [nth_prime(i) for i in range(1, 60)]
+
+
+@st.composite
+def coprime_bases(draw):
+    """Distinct small primes, r = 1 up to past a product-tree chunk, and at
+    times one modulus of at least 2**64, 1 mod the others' product."""
+    primes = st.sampled_from(SMALL_PRIMES)
+    moduli = draw(st.lists(primes, min_size=1, max_size=19, unique=True))
+    if draw(st.booleans()):
+        others = math.prod(moduli)
+        big = ((1 << 64) // others + draw(st.integers(1, 1 << 32))) * others + 1
+        moduli.insert(draw(st.integers(0, len(moduli))), big)
+    return ModuliBase.from_moduli(moduli)
+
+
+@given(coprime_bases(), st.integers(), st.integers())
+@example(ModuliBase.from_moduli([5]), 7, -3)
+@example(ModuliBase.from_moduli([3, (1 << 64) + 1, 5]), 1 << 70, -(1 << 65))
+@example(prime_base(13), 10**30, 7)
+def test_built_vectors_pass_the_public_constructor(base, x, y):
+    a, b = encode(x, base), encode(y, base)
+    for v in (a, b, a + b, a - b, a * b, parse(serialize(a * b))):
+        assert type(v.residues) is tuple
+        assert {type(r) for r in v.residues} == {int}
+        checked = CrrVector(v.base, v.residues)
+        assert v == checked and hash(v) == hash(checked)
 
 
 def test_serialize_frozen_example():
