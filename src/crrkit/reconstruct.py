@@ -75,9 +75,17 @@ def sequential_coefficients(
     Step j pairs modulus j with prefix_j, the product of the moduli before
     it: the returned pairs satisfy alpha_j*m_j + beta_j*prefix_j == 1, one
     pair per modulus after the first.  The weight for position i is beta_i
-    times the product of the later alphas, mod m_i.  The running product of
-    alphas is only ever used modulo earlier moduli, so it is reduced modulo
-    their product at each step; :func:`chain_weights` keeps it exact.
+    times the product of the later alphas, mod m_i; :func:`chain_weights`
+    keeps that product exact.
+
+    The back-walk never multiplies by an alpha.  On entering step i, with
+    m = m_i and P = prefix_i, ``suffix`` is congruent to the product of the
+    alphas after i modulo P*m.  The step takes w_i = beta_i*(suffix mod m)
+    mod m and divides suffix - w_i*P exactly by m: beta_i*P == 1 (mod m), so
+    m divides it, and alpha_i*m == 1 (mod P), so the quotient is congruent
+    to suffix*alpha_i modulo P, the invariant for step i - 1.  Only that
+    class is ever read, each weight modulo a modulus dividing the prefix, so
+    suffix may go negative; after step i its size is below r*P.
     """
     moduli = base.moduli
     r = len(moduli)
@@ -90,9 +98,9 @@ def sequential_coefficients(
     suffix = 1
     # prefix is prefix_i on each step, walked back by exact division
     for i in range(r - 1, 0, -1):
-        alpha, beta = pairs[i - 1]
-        weights[i] = beta * suffix % moduli[i]
-        suffix = suffix * alpha % prefix
+        m = moduli[i]
+        w = weights[i] = pairs[i - 1][1] * (suffix % m) % m
+        suffix = (suffix - w * prefix) // m
         prefix //= moduli[i - 1]
     weights[0] = suffix % moduli[0]
     return CrtCoefficients(base, tuple(weights), len(pairs)), tuple(pairs)

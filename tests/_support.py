@@ -174,6 +174,25 @@ def reference_classical_weights(base: ModuliBase) -> tuple[int, ...]:
     return tuple(weights)
 
 
+def reference_sequential_weights(base: ModuliBase, pairs) -> tuple[int, ...]:
+    """The chain's weights by the wide back-walk: the running product of
+    alphas is multiplied in and reduced modulo the prefix product at each step.
+    """
+    moduli = base.moduli
+    r = len(moduli)
+    prefix = math.prod(moduli[:-1])
+    weights = [0] * r
+    suffix = 1
+    # prefix is prefix_i on each step, walked back by exact division
+    for i in range(r - 1, 0, -1):
+        alpha, beta = pairs[i - 1]
+        weights[i] = beta * suffix % moduli[i]
+        suffix = suffix * alpha % prefix
+        prefix //= moduli[i - 1]
+    weights[0] = suffix % moduli[0]
+    return tuple(weights)
+
+
 def reference_garner_inverses(base: ModuliBase) -> tuple[tuple[int, ...], ...]:
     """Garner's table m_i^-1 mod m_j for i < j, one extended gcd per entry."""
     moduli = base.moduli

@@ -4,10 +4,11 @@ import builtins
 import math
 import random
 import sys
+import time
 from collections import Counter
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crrkit import (
@@ -20,6 +21,7 @@ from crrkit import (
     default_n2_bound,
     encode,
     garner_converter,
+    nth_prime,
     prime_base,
     probabilistic_reconstruct,
     reconstruct,
@@ -34,6 +36,7 @@ from _support import (
     reference_classical_weights,
     reference_garner_inverses,
     reference_probabilistic_reconstruct,
+    reference_sequential_weights,
 )
 
 BASE_357 = ModuliBase.from_moduli([3, 5, 7])
@@ -179,13 +182,68 @@ def test_telescoping_identity_exact():
 
 
 def test_sequential_weights_reduce_chain_weights():
-    # the reduced running product must give the exact chain weights mod m_i
+    # the word-size back-walk must give the exact chain weights mod m_i
     rng = random.Random(37)
     bases = [random_coprime_base(rng, max_len=64) for _ in range(20)]
     for base in bases + [prime_base(192)]:
         coeffs, pairs = sequential_coefficients(base)
         exact = chain_weights(pairs)
         assert coeffs.weights == tuple(w % m for w, m in zip(exact, base.moduli))
+
+
+CHAIN_PRIMES = [nth_prime(i) for i in range(1, 100)]
+
+
+@st.composite
+def chain_bases(draw):
+    """Pairwise-coprime bases of 1 to 40 moduli in any order: primes, prime
+    powers, products of two primes, and one to three moduli of at least
+    2**64, each 1 mod the product of the moduli drawn before it."""
+    r = draw(st.integers(1, 40))
+    big_count = draw(st.integers(1, min(r, 3)))
+    primes = iter(draw(st.permutations(CHAIN_PRIMES)))
+    moduli = []
+    for _ in range(r - big_count):
+        m = next(primes)
+        shape = draw(st.sampled_from(("prime", "power", "product")))
+        if shape == "power":
+            m **= draw(st.integers(2, 4))
+        elif shape == "product":
+            m *= next(primes)
+        moduli.append(m)
+    for _ in range(big_count):
+        others = math.prod(moduli)
+        moduli.append(draw(st.integers(1 << 64, 1 << 128)) * others + 1)
+    return ModuliBase.from_moduli(draw(st.permutations(moduli)))
+
+
+# 2**64 + 1 = 274177 * 67280421310721, a composite modulus above 2**64; the
+# fixed r = 1024 example runs the oracle's wide walk for about 0.15 s
+@settings(deadline=None)
+@given(chain_bases())
+@example(ModuliBase.from_moduli([(1 << 64) + 1]))
+@example(ModuliBase.from_moduli([(1 << 64) + 1, 3]))
+@example(ModuliBase.from_moduli([(1 << 64) + 1, 3**5, 35, 2, 11, 13]))
+@example(prime_base(1024))
+def test_sequential_walk_matches_the_wide_walk(base):
+    coeffs, pairs = sequential_coefficients(base)
+    assert coeffs.weights == reference_sequential_weights(base, pairs)
+    assert coeffs.weights == classical_coefficients(base).weights
+    prefix = prefix_products(base.moduli)
+    assert pairs == tuple(
+        extended_gcd(m, prefix[j])[1:] for j, m in enumerate(base.moduli) if j
+    )
+    assert coeffs.egcd_calls == len(base.moduli) - 1
+
+
+def test_sequential_walk_stays_word_sized_at_r_4096():
+    # on a 2-vCPU VM the word-size step takes about 0.4 s here, and the wide
+    # walk of the oracle about 11 s
+    base = prime_base(4096)
+    start = time.perf_counter()
+    coeffs, _ = sequential_coefficients(base)
+    assert time.perf_counter() - start < 4
+    assert coeffs.egcd_calls == 4095
 
 
 # --- Garner baseline ---
