@@ -20,13 +20,20 @@ Either way n is at most MAX_DIVISION_BITS, checked before any prime is sieved.
 """
 
 import math
-from dataclasses import dataclass
+import operator
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import GroupBoundError
-from .moduli import ModuliBase, nth_prime, prime_base, require_prime_index
+from .moduli import ModuliBase, _require_int, nth_prime, prime_base, require_prime_index
 # unused here, but the benchmark's span patches name crrkit.division.encode
 from .vectors import encode
+
+
+def _plain_int(value, what: str) -> int:
+    """value as a plain int; TypeError naming it unless it is an int (not bool)."""
+    _require_int(value, what)
+    return operator.index(value)
 
 
 def _require_bit_size(n: int):
@@ -107,8 +114,7 @@ def adaptive_group_size(n: int) -> int:
     return size
 
 
-@dataclass(frozen=True)
-class GroupBoundReport:
+class GroupBoundReport(NamedTuple):
     """Whether the first extension modulus alone certifies the group floor."""
 
     n: int
@@ -125,8 +131,7 @@ def group_bound_report(n: int) -> GroupBoundReport:
     return GroupBoundReport(n, size, next_modulus, next_modulus**size > 1 << (n + 3))
 
 
-@dataclass(frozen=True)
-class Scaler:
+class Scaler(NamedTuple):
     """Divisor normalizer: value = 2**pow2 * (product of first prefix_len moduli)."""
 
     prefix_len: int
@@ -247,8 +252,7 @@ def reciprocal_series(numerators, groups) -> tuple[int, int]:
     return _series_from(numerators, groups)
 
 
-@dataclass(frozen=True, repr=False)
-class DivisionPlan:
+class DivisionPlan(NamedTuple):
     """Everything the division of n-bit operands by one divisor needs."""
 
     bit_size: int
@@ -270,8 +274,9 @@ class DivisionPlan:
         )
 
 
-@dataclass(frozen=True)
-class DivideResult:
+class DivideResult(NamedTuple):
+    """The floor quotient, whether the one-off correction fired, and the plan."""
+
     quotient: int
     correction_applied: bool
     plan: DivisionPlan | None
@@ -307,6 +312,8 @@ def build_plan(y: int, n: int, mode: str = "adaptive") -> DivisionPlan:
     The assembled series is checked exactly to underapproximate scale/y
     within 2**-n before the plan is returned.
     """
+    y = _plain_int(y, "divisor")
+    n = _plain_int(n, "bit size")
     _require_division_size(n)
     if not 2 <= y < 1 << n:
         raise ValueError("divisor out of range for the bit size")
@@ -326,6 +333,9 @@ def divide(x: int, y: int, n: int, mode: str = "adaptive") -> DivideResult:
     one short; the exact comparison against x settles which, and anything else
     is an internal error.
     """
+    x = _plain_int(x, "dividend")
+    y = _plain_int(y, "divisor")
+    n = _plain_int(n, "bit size")
     _require_division_size(n)
     if y == 0:
         raise ZeroDivisionError("division by zero")

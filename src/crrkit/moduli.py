@@ -13,7 +13,6 @@ import math
 import operator
 import threading
 from array import array
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import PrimeLimitError
@@ -67,17 +66,19 @@ def _require_int(value, what: str):
         raise TypeError(f"{what} {value!r} is not an int")
 
 
-@dataclass(frozen=True, repr=False)
 class ModuliBase:
     """Ordered moduli, each an int >= 2; ``product`` is their product tree's root.
 
     Only :meth:`from_moduli` checks that the moduli are pairwise coprime.
+    Immutable, and equal to another base with the same moduli.  It keeps an
+    instance ``__dict__`` for its cached properties.
     """
 
+    __match_args__ = ("moduli",)
     moduli: tuple[int, ...]
 
-    def __post_init__(self):
-        mods = tuple(self.moduli)
+    def __init__(self, moduli: tuple[int, ...]):
+        mods = tuple(moduli)
         plain = True
         for m in mods:
             # every parsed or generated base builds one, so plain ints skip the call
@@ -93,6 +94,20 @@ class ModuliBase:
         if min(mods) < 2:
             raise ValueError("moduli must be at least 2")
         object.__setattr__(self, "moduli", mods)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.moduli == other.moduli
+
+    def __hash__(self):
+        return hash(self.moduli)
 
     @cached_property
     def _tree(self) -> "_ProductTree":

@@ -22,7 +22,7 @@ directly: r, r - 1, r(r-1)/2, and one call per random attempt.
 
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import AttemptsExhaustedError, BaseMismatchError
 from .moduli import ModuliBase
@@ -43,8 +43,7 @@ def _inverse(a: int, m: int) -> int:
         raise _not_invertible(a, m) from None
 
 
-@dataclass(frozen=True)
-class CrtCoefficients:
+class CrtCoefficients(NamedTuple):
     """Reconstruction weights: weights[i] * (product / m_i) == 1 mod m_i."""
 
     base: ModuliBase
@@ -121,8 +120,7 @@ def chain_weights(pairs) -> tuple[int, ...]:
     return tuple(reversed(weights))
 
 
-@dataclass(frozen=True)
-class GarnerConverter:
+class GarnerConverter(NamedTuple):
     """Mixed-radix decoder built on every pairwise inverse m_i^-1 mod m_j."""
 
     base: ModuliBase
@@ -167,8 +165,7 @@ def _crt_sum(residues, weights, base: ModuliBase) -> int:
     return base._tree.combine(map(operator.mul, residues, weights)) % base.product
 
 
-@dataclass(frozen=True)
-class LinearFormSample:
+class LinearFormSample(NamedTuple):
     """Outcome of one successful random-linear-form draw."""
 
     s: tuple[int, ...]

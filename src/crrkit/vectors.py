@@ -19,7 +19,6 @@ and skip that check.
 
 import operator
 import re
-from dataclasses import dataclass
 from typing import NoReturn
 
 from .errors import BaseMismatchError, ParseError
@@ -28,23 +27,25 @@ from .moduli import ModuliBase, _require_int
 MAGIC = "CRR1"
 
 
-@dataclass(frozen=True, repr=False)
 class CrrVector:
     """Residues of one integer, componentwise below the matching modulus.
 
     An int subclass is stored as its plain int: the ring operations trust
     every vector's residues to be exact ints and do not check their results.
+    Immutable, and equal to another vector with an equal base and residues.
     """
 
+    __slots__ = ("base", "residues")
+    __match_args__ = __slots__
     base: ModuliBase
     residues: tuple[int, ...]
 
-    def __post_init__(self):
-        residues = tuple(self.residues)
-        if len(residues) != len(self.base.moduli):
+    def __init__(self, base: ModuliBase, residues: tuple[int, ...]):
+        residues = tuple(residues)
+        if len(residues) != len(base.moduli):
             raise ValueError("residue count does not match base length")
         plain = True
-        for x, m in zip(residues, self.base.moduli):
+        for x, m in zip(residues, base.moduli):
             if type(x) is not int:
                 _require_int(x, "residue")
                 x, plain = operator.index(x), False
@@ -52,7 +53,26 @@ class CrrVector:
                 raise ValueError(f"residue {x} out of range for modulus {m}")
         if not plain:
             residues = tuple(map(operator.index, residues))
+        object.__setattr__(self, "base", base)
         object.__setattr__(self, "residues", residues)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.base, self.residues) == (other.base, other.residues)
+
+    def __hash__(self):
+        return hash((self.base, self.residues))
+
+    def __reduce__(self):
+        # the default reduce of a slotted class restores through __setattr__
+        return CrrVector, (self.base, self.residues)
 
     def __add__(self, other):
         return _combine(self, other, operator.add)

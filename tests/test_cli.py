@@ -598,9 +598,11 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_import_builds_no_parser_and_loads_no_openssl():
-    # hashlib loads OpenSSL (about 4 MiB resident); only prob-stats needs it
+    # hashlib loads OpenSSL (about 4 MiB resident); only prob-stats needs it.
+    # dataclasses would pull in inspect, ast, dis and tokenize at every start.
     code = (
         "import sys, crrkit.cli as cli; "
-        "print(cli.build_parser.cache_info().currsize, 'hashlib' in sys.modules)"
+        "print(cli.build_parser.cache_info().currsize, "
+        "*(name in sys.modules for name in ('hashlib', 'dataclasses', 'inspect')))"
     )
-    assert run_python("-c", code) == (0, "0 False\n", "")
+    assert run_python("-c", code) == (0, "0 False False False\n", "")

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -446,6 +447,37 @@ def test_divide_rejects_bad_arguments():
         divide(1, 1, 3)
     with pytest.raises(ValueError):
         divide(10, 3, 8, "turbo")
+
+
+@pytest.mark.parametrize(
+    "x, y, n, named",
+    [
+        (5.5, 2, 8, "dividend 5.5"),
+        (True, 3, 8, "dividend True"),
+        (float(2**60), 3, 64, "dividend 1.152921504606847e+18"),
+        (5, 2.0, 8, "divisor 2.0"),
+        (5, False, 8, "divisor False"),
+        (5, 2, 8.0, "bit size 8.0"),
+        (5, 2, "8", "bit size '8'"),
+    ],
+)
+def test_divide_and_build_plan_reject_non_int_operands(x, y, n, named):
+    match = f"^{re.escape(named)} is not an int$"
+    with pytest.raises(TypeError, match=match):
+        divide(x, y, n)
+    if not named.startswith("dividend"):
+        with pytest.raises(TypeError, match=match):
+            build_plan(y, n)
+
+
+def test_divide_takes_an_int_subclass_as_its_plain_int():
+    class Wrong(int):
+        def __mul__(self, other):
+            return 0
+
+    result = divide(Wrong(100), Wrong(7), Wrong(8))
+    assert result.quotient == 14 and type(result.quotient) is int
+    assert build_plan(Wrong(7), Wrong(8)) == build_plan(7, 8)
 
 
 def test_bit_size_bound_is_checked_before_static_parts(monkeypatch):

@@ -56,7 +56,7 @@ def unchecked_builds(path: Path) -> list[str]:
 
 
 def test_only_vectors_builds_vectors_without_the_residue_check():
-    # object.__new__ skips __post_init__, so a vector built that way elsewhere
+    # object.__new__ skips __init__, so a vector built that way elsewhere
     # would hold residues nobody checked
     builds = {path.name: unchecked_builds(path) for path in PACKAGE.glob("*.py")}
     assert builds.pop("vectors.py")  # the scan finds the one builder
