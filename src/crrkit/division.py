@@ -20,7 +20,6 @@ Either way n is at most MAX_DIVISION_BITS, checked before any prime is sieved.
 """
 
 import math
-import operator
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -30,15 +29,12 @@ from .moduli import ModuliBase, _require_int, nth_prime, prime_base, require_pri
 from .vectors import encode
 
 
-def _plain_int(value, what: str) -> int:
-    """value as a plain int; TypeError naming it unless it is an int (not bool)."""
-    _require_int(value, what)
-    return operator.index(value)
-
-
-def _require_bit_size(n: int):
+def _require_bit_size(n: int) -> int:
+    """n as a plain int of at least 4; TypeError naming it unless it is an int."""
+    n = _require_int(n, "bit size")
     if n < 4:
         raise ValueError("bit size must be at least 4")
+    return n
 
 
 # Largest operand bit size that divide and build_plan accept.  A plan's cost
@@ -49,11 +45,12 @@ def _require_bit_size(n: int):
 MAX_DIVISION_BITS = 2048
 
 
-def _require_division_size(n: int):
+def _require_division_size(n: int) -> int:
     """Check the bit size before any plan is built or any prime sieved."""
-    _require_bit_size(n)
+    n = _require_bit_size(n)
     if n > MAX_DIVISION_BITS:
         raise ValueError(f"bit size {n} above division bound {MAX_DIVISION_BITS}")
+    return n
 
 
 # relative width of the band around a tie in which the float quotient of
@@ -86,7 +83,7 @@ def _floor_div_log2(value: int, n: int) -> int:
 
 def group_size(n: int) -> int:
     """Fixed-layout group size for bit size n: floor(n / log2 n)."""
-    _require_bit_size(n)
+    n = _require_bit_size(n)
     return _floor_div_log2(n, n)
 
 
@@ -96,7 +93,7 @@ def strict_moduli_count(n: int) -> int:
     A count plainly past the prime index ceiling raises PrimeLimitError from
     a float estimate, before the exact count compares powers of n**2 bits.
     """
-    _require_bit_size(n)
+    n = _require_bit_size(n)
     # prime_base needs index count + 2, and the count is at least this
     # estimate less 1 for the floor, less a margin of 1 for float rounding
     require_prime_index(math.floor(n * n / math.log2(n)) + 3 * n)
@@ -105,7 +102,7 @@ def strict_moduli_count(n: int) -> int:
 
 def adaptive_group_size(n: int) -> int:
     """Smallest group size whose products clear the 2**(n+3) floor."""
-    _require_bit_size(n)
+    n = _require_bit_size(n)
     floor = 1 << (n + 3)
     product, size = 1, 0
     while product <= floor:
@@ -125,7 +122,7 @@ class GroupBoundReport(NamedTuple):
 
 def group_bound_report(n: int) -> GroupBoundReport:
     """Exact check of next_modulus**group_size > 2**(n+3) for bit size n."""
-    _require_bit_size(n)
+    n = _require_bit_size(n)
     size = group_size(n)
     next_modulus = nth_prime(n + 3)
     return GroupBoundReport(n, size, next_modulus, next_modulus**size > 1 << (n + 3))
@@ -171,7 +168,7 @@ def build_groups(n: int, base: ModuliBase, size: int) -> tuple[int, ...]:
     The runs start right after the first n moduli.  Every product must exceed
     2**(n+3); the first one that does not raises :class:`GroupBoundError`.
     """
-    _require_bit_size(n)
+    n = _require_bit_size(n)
     if size < 1:
         raise ValueError("group size must be positive")
     needed = n + (n + 1) * size
@@ -312,9 +309,8 @@ def build_plan(y: int, n: int, mode: str = "adaptive") -> DivisionPlan:
     The assembled series is checked exactly to underapproximate scale/y
     within 2**-n before the plan is returned.
     """
-    y = _plain_int(y, "divisor")
-    n = _plain_int(n, "bit size")
-    _require_division_size(n)
+    y = _require_int(y, "divisor")
+    n = _require_division_size(n)
     if not 2 <= y < 1 << n:
         raise ValueError("divisor out of range for the bit size")
     base, size, groups = _static_parts(n, mode)
@@ -333,10 +329,9 @@ def divide(x: int, y: int, n: int, mode: str = "adaptive") -> DivideResult:
     one short; the exact comparison against x settles which, and anything else
     is an internal error.
     """
-    x = _plain_int(x, "dividend")
-    y = _plain_int(y, "divisor")
-    n = _plain_int(n, "bit size")
-    _require_division_size(n)
+    x = _require_int(x, "dividend")
+    y = _require_int(y, "divisor")
+    n = _require_division_size(n)
     if y == 0:
         raise ZeroDivisionError("division by zero")
     if not 0 <= x < 1 << n:

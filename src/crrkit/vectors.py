@@ -47,8 +47,7 @@ class CrrVector:
         plain = True
         for x, m in zip(residues, base.moduli):
             if type(x) is not int:
-                _require_int(x, "residue")
-                x, plain = operator.index(x), False
+                x, plain = _require_int(x, "residue"), False
             if not 0 <= x < m:
                 raise ValueError(f"residue {x} out of range for modulus {m}")
         if not plain:
@@ -112,9 +111,8 @@ def _built(base: ModuliBase, residues: tuple[int, ...]) -> CrrVector:
 
 def encode(value: int, base: ModuliBase) -> CrrVector:
     """Residue vector of ``value`` reduced into [0, product)."""
-    _require_int(value, "value")
     # an int subclass may override %, so the tree reduces its plain int
-    return _built(base, base._tree.remainders(operator.index(value)))
+    return _built(base, base._tree.remainders(_require_int(value, "value")))
 
 
 def serialize(vector: CrrVector) -> str:

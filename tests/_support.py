@@ -206,6 +206,14 @@ def reference_garner_inverses(base: ModuliBase) -> tuple[tuple[int, ...], ...]:
     return tuple(inverses)
 
 
+def reference_draw(rng, n2_bound: int, r: int) -> tuple[int, ...]:
+    """r coefficients in [1, n2_bound], one ``randint`` call each.
+
+    Reference for the batched ``getrandbits`` draw of the random route.
+    """
+    return tuple(rng.randint(1, n2_bound) for _ in range(r))
+
+
 def reference_probabilistic_reconstruct(vector, rng, n2_bound=None, max_attempts=64):
     """The random-linear-form route with an extended gcd on every attempt.
 
@@ -215,8 +223,8 @@ def reference_probabilistic_reconstruct(vector, rng, n2_bound=None, max_attempts
     if n2_bound is None:
         n2_bound = default_n2_bound(base)
     for attempt in range(1, max_attempts + 1):
-        s = tuple(rng.randint(1, n2_bound) for _ in base.moduli)
-        t = tuple(rng.randint(1, n2_bound) for _ in base.moduli)
+        s = reference_draw(rng, n2_bound, len(base.moduli))
+        t = reference_draw(rng, n2_bound, len(base.moduli))
         form_s, form_t = reference_forms(base, s, t)
         g, u, v = extended_gcd(form_s, form_t)
         if g == 1:

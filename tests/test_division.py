@@ -480,6 +480,26 @@ def test_divide_takes_an_int_subclass_as_its_plain_int():
     assert build_plan(Wrong(7), Wrong(8)) == build_plan(7, 8)
 
 
+@pytest.mark.parametrize(
+    "fn", [group_size, strict_moduli_count, adaptive_group_size, group_bound_report]
+)
+def test_layout_functions_check_the_bit_size_type(fn):
+    for n, named in ((64.0, "64.0"), (True, "True"), ("64", "'64'")):
+        with pytest.raises(TypeError, match=f"^bit size {named} is not an int$"):
+            fn(n)
+
+    class Wrong(int):
+        def __mul__(self, other):
+            return 0
+
+        def bit_length(self):
+            return 0
+
+    assert fn(Wrong(64)) == fn(64)
+    if fn is group_bound_report:
+        assert type(fn(Wrong(64)).n) is int
+
+
 def test_bit_size_bound_is_checked_before_static_parts(monkeypatch):
     def no_static_parts(n, mode):
         raise LookupError(f"static parts for n = {n}")

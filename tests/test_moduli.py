@@ -65,6 +65,25 @@ def test_prime_base_examples():
         prime_base(0)
 
 
+def test_prime_base_checks_the_count_type():
+    # cached first: True and 3.0 compare equal to 1 and 3
+    prime_base(1)
+    prime_base(3)
+    for count, named in ((True, "True"), (3.0, "3.0"), ("3", "'3'")):
+        with pytest.raises(TypeError, match=f"^count {named} is not an int$"):
+            prime_base(count)
+
+    class Wrong(int):
+        def __add__(self, other):
+            return 0
+
+        def __radd__(self, other):
+            return 0
+
+    base = prime_base(Wrong(4))
+    assert base == prime_base(4) and type(base.moduli[0]) is int
+
+
 def test_prime_base_is_consecutive_primes_from_five():
     base = prime_base(1000)
     assert list(base.moduli) == ORACLE_PRIMES[2:1002]

@@ -27,13 +27,14 @@ from crrkit import (
     reconstruct,
     sequential_coefficients,
 )
-from crrkit.reconstruct import _bezout_pair
+from crrkit.reconstruct import _bezout_pair, _draw_coefficients
 from _support import (
     brute_force_crt,
     extended_gcd,
     prefix_products,
     random_coprime_base,
     reference_classical_weights,
+    reference_draw,
     reference_garner_inverses,
     reference_probabilistic_reconstruct,
     reference_sequential_weights,
@@ -421,7 +422,7 @@ class _ConstantRng:
     def __init__(self, value):
         self.value = value
 
-    def randint(self, lo, hi):
+    def getrandbits(self, k):
         return self.value
 
 
@@ -448,6 +449,54 @@ def test_probabilistic_matches_extended_gcd_reference(r, n2_bound):
         assert got == reference_probabilistic_reconstruct(vector, rng, n2_bound)
 
 
+class _PlainRandom(random.Random):
+    """A subclass that overrides nothing, so randint still uses getrandbits."""
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    r=st.integers(0, 300),
+    seed=st.integers(0, 2**64 - 1),
+    n2_bound=st.integers(1, 2**70),
+    rng_type=st.sampled_from([random.Random, _PlainRandom]),
+)
+@example(r=5, seed=0, n2_bound=1, rng_type=random.Random)
+@example(r=5, seed=0, n2_bound=2, rng_type=random.Random)
+@example(r=200, seed=1, n2_bound=2**16 - 1, rng_type=random.Random)
+@example(r=200, seed=2, n2_bound=2**16, rng_type=random.Random)
+@example(r=200, seed=3, n2_bound=2**16 + 1, rng_type=random.Random)
+@example(r=200, seed=4, n2_bound=2**32 + 1, rng_type=random.Random)
+@example(r=200, seed=5, n2_bound=2**64 + 1, rng_type=random.Random)
+@example(r=200, seed=6, n2_bound=2**16 + 1, rng_type=_PlainRandom)
+def test_batched_draw_matches_randint_loop(r, seed, n2_bound, rng_type):
+    rng, oracle = rng_type(seed), rng_type(seed)
+    assert _draw_coefficients(rng, n2_bound, r) == reference_draw(oracle, n2_bound, r)
+    assert rng.getstate() == oracle.getstate()
+
+
+def test_shared_generator_is_left_where_randint_would_leave_it():
+    base = prime_base(12)
+    vectors = [encode(v, base) for v in (7, base.product - 1, 12345)]
+    rng, oracle = random.Random(71), random.Random(71)
+    for vector in vectors:
+        got = probabilistic_reconstruct(vector, rng)
+        assert got == reference_probabilistic_reconstruct(vector, oracle)
+    # a coprime_form_stats run, then one more reconstruction, on one generator;
+    # max_attempts 1 makes some trials exhausted
+    stats = coprime_form_stats(base, [rng] * 40, max_attempts=1)
+    hits = 0
+    for _ in range(40):
+        try:
+            reference_probabilistic_reconstruct(vectors[0], oracle, max_attempts=1)
+            hits += 1
+        except AttemptsExhaustedError:
+            pass
+    assert stats == (hits, 40, 40 - hits) and 0 < hits < 40
+    got = probabilistic_reconstruct(vectors[1], rng)
+    assert got == reference_probabilistic_reconstruct(vectors[1], oracle)
+    assert rng.getstate() == oracle.getstate()
+
+
 def test_coprime_form_attempt_statistics():
     hits, total, exhausted = coprime_form_stats(
         prime_base(16), [random.Random(43)] * 2000
@@ -469,3 +518,8 @@ def test_coprime_form_attempts_rejects_bad_bounds():
         coprime_form_stats(base, rngs, n2_bound=1)
     with pytest.raises(ValueError, match="n2_bound must be at least 2"):
         probabilistic_reconstruct(encode(5, base), random.Random(44), n2_bound=1)
+    for bound, named in ((70000.0, "70000.0"), (True, "True"), ("9", "'9'")):
+        with pytest.raises(TypeError, match=f"^n2_bound {named} is not an int$"):
+            coprime_form_stats(base, rngs, n2_bound=bound)
+        with pytest.raises(TypeError, match=f"^n2_bound {named} is not an int$"):
+            probabilistic_reconstruct(encode(5, base), random.Random(44), bound)
