@@ -50,6 +50,9 @@ def require_prime_index(index: int):
 
 def nth_prime(index: int) -> int:
     """The index-th prime, 1-indexed: 1 -> 2, 2 -> 3, 3 -> 5, ..."""
+    # generated bases call this once per prime, so plain ints skip the call
+    if type(index) is not int:
+        index = _require_int(index, "prime index")
     if index < 1:
         raise ValueError("prime index must be positive")
     require_prime_index(index)

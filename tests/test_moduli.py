@@ -48,6 +48,16 @@ def test_nth_prime_rejects_bad_indices():
         nth_prime(-3)
     with pytest.raises(PrimeLimitError):
         nth_prime(10_000_001)
+    for index, named in ((True, "True"), (3.0, "3.0"), ("3", "'3'")):
+        with pytest.raises(TypeError, match=f"^prime index {named} is not an int$"):
+            nth_prime(index)
+
+
+def test_nth_prime_takes_an_int_subclass_as_its_plain_int():
+    class Index(int):
+        pass
+
+    assert nth_prime(Index(3)) == 5
 
 
 def test_prime_base_above_ceiling_raises_before_sieving():

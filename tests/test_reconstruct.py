@@ -5,6 +5,7 @@ import math
 import random
 import sys
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -336,6 +337,77 @@ def test_non_coprime_base_fails_loudly(route, message):
         route(NON_COPRIME)
 
 
+@pytest.mark.parametrize(
+    "moduli, route, a, m, shared",
+    [
+        ([7, 6, 10], classical_coefficients, 70, 6, 2),
+        ([7, 6, 10], garner_converter, 6, 10, 2),
+        ([5, 7, 9, 6], classical_coefficients, 210, 9, 3),
+        ([5, 7, 9, 6], garner_converter, 9, 6, 3),
+    ],
+)
+def test_shared_factor_past_the_first_row_is_named(moduli, route, a, m, shared):
+    message = f"^{a} has no inverse modulo {m}: both are divisible by {shared}$"
+    with pytest.raises(ValueError, match=message):
+        route(ModuliBase(moduli))
+
+
+def _reference_failures(moduli) -> tuple[str, str]:
+    """The classical and Garner messages, one gcd per inverse in build order."""
+    product = math.prod(moduli)
+
+    def message(a, m):
+        return f"{a} has no inverse modulo {m}: both are divisible by {math.gcd(a, m)}"
+
+    classical = next(
+        message(product // m, m) for m in moduli if math.gcd(product // m, m) > 1
+    )
+    garner = next(
+        message(a, m)
+        for j, m in enumerate(moduli)
+        for a in moduli[:j]
+        if math.gcd(a, m) > 1
+    )
+    return classical, garner
+
+
+@given(st.integers(0, 2**32))
+def test_non_coprime_messages_match_the_pairwise_walk(seed):
+    rng = random.Random(seed)
+    moduli = list(random_coprime_base(rng).moduli)
+    # one more modulus, sharing the smallest prime factor of a random member
+    shared = rng.choice(moduli)
+    factor = next(p for p in range(2, shared + 1) if shared % p == 0)
+    moduli.insert(rng.randint(0, len(moduli)), factor * rng.randint(1, 50))
+    base = ModuliBase(moduli)
+    classical, garner = _reference_failures(moduli)
+    with pytest.raises(ValueError) as failure:
+        classical_coefficients(base)
+    assert str(failure.value) == classical
+    with pytest.raises(ValueError) as failure:
+        garner_converter(base)
+    assert str(failure.value) == garner
+
+
+def test_garner_table_peaks_near_what_it_keeps():
+    """Building the table holds no second copy of its rows, such as a list of
+    row lists turned into tuples afterwards."""
+    base = prime_base(192)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        converter = garner_converter(base)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert converter.egcd_calls == 192 * 191 // 2
+    assert peak - before <= 1.1 * (current - before)
+
+
 # --- reconstruct ---
 
 
@@ -523,3 +595,10 @@ def test_coprime_form_attempts_rejects_bad_bounds():
             coprime_form_stats(base, rngs, n2_bound=bound)
         with pytest.raises(TypeError, match=f"^n2_bound {named} is not an int$"):
             probabilistic_reconstruct(encode(5, base), random.Random(44), bound)
+    for attempts, named in ((2.0, "2.0"), (True, "True"), ("2", "'2'")):
+        with pytest.raises(TypeError, match=f"^max_attempts {named} is not an int$"):
+            coprime_form_stats(base, rngs, max_attempts=attempts)
+        with pytest.raises(TypeError, match=f"^max_attempts {named} is not an int$"):
+            probabilistic_reconstruct(
+                encode(5, base), random.Random(44), max_attempts=attempts
+            )
