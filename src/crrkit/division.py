@@ -45,11 +45,14 @@ def _require_bit_size(n: int) -> int:
 MAX_DIVISION_BITS = 2048
 
 
-def _require_division_size(n: int) -> int:
-    """Check the bit size before any plan is built or any prime sieved."""
+def _require_plan_key(n: int, mode: str) -> int:
+    """Check n and mode, the plan cache's key, before any plan or fast path."""
     n = _require_bit_size(n)
     if n > MAX_DIVISION_BITS:
         raise ValueError(f"bit size {n} above division bound {MAX_DIVISION_BITS}")
+    # compared by ==, so an unhashable mode is named too, not hashed
+    if mode not in ("strict", "adaptive"):
+        raise ValueError(f"unknown mode {mode!r}")
     return n
 
 
@@ -284,11 +287,9 @@ def _static_parts(n: int, mode: str):
     if mode == "strict":
         size = group_size(n)
         total = strict_moduli_count(n)
-    elif mode == "adaptive":
+    else:  # _require_plan_key has checked the mode
         size = adaptive_group_size(n)
         total = n + (n + 1) * size
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     if n + (n + 1) * size > total:
         raise RuntimeError("moduli budget cannot hold the groups")
     base = prime_base(total)
@@ -310,7 +311,7 @@ def build_plan(y: int, n: int, mode: str = "adaptive") -> DivisionPlan:
     within 2**-n before the plan is returned.
     """
     y = _require_int(y, "divisor")
-    n = _require_division_size(n)
+    n = _require_plan_key(n, mode)
     if not 2 <= y < 1 << n:
         raise ValueError("divisor out of range for the bit size")
     base, size, groups = _static_parts(n, mode)
@@ -331,7 +332,7 @@ def divide(x: int, y: int, n: int, mode: str = "adaptive") -> DivideResult:
     """
     x = _require_int(x, "dividend")
     y = _require_int(y, "divisor")
-    n = _require_division_size(n)
+    n = _require_plan_key(n, mode)
     if y == 0:
         raise ZeroDivisionError("division by zero")
     if not 0 <= x < 1 << n:

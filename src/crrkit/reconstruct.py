@@ -8,8 +8,8 @@ Four routes are provided:
 * a Garner mixed-radix converter over all pairwise inverses, the
   quadratic-count baseline;
 * a randomized route that draws integer linear forms over the cofactors
-  until the two sums are coprime, then reads all reconstruction weights
-  off a single Bezout pair.
+  until the two sums are coprime, then reads the value off a single Bezout
+  pair.
 
 Every inversion is one C ``pow(a, -1, m)``, and one counted call is one
 such inversion; a Bezout pair is one inversion (see :func:`_bezout_pair`).
@@ -32,8 +32,9 @@ C (see :func:`_draw_coefficients`), combines the two forms down the product
 tree and takes one ``math.gcd``.  Over 192 primes from the 2500th (forms of
 about 2,800 bits) the draw took 0.15 ms, against 0.36 ms for 2r ``randint``
 calls, the two combines 0.15 ms and the gcd 0.03 ms.  The one Bezout pair of
-the coprime draw, 1.1 ms, is the largest single cost (2-vCPU VM, Python
-3.11.7).
+the coprime draw, 1.1 ms, is the largest single cost; the value step after it,
+two more combines and two form-sized products, took 0.12 ms (2-vCPU VM,
+Python 3.11.7).
 """
 
 import math
@@ -180,12 +181,9 @@ def garner_converter(base: ModuliBase) -> GarnerConverter:
 def reconstruct(vector: CrrVector, coefficients: CrtCoefficients) -> int:
     """The unique integer in [0, product) with the vector's residues."""
     _require_same_base(vector.base, coefficients.base)
-    return _crt_sum(vector.residues, coefficients.weights, coefficients.base)
-
-
-def _crt_sum(residues, weights, base: ModuliBase) -> int:
-    """sum(x_i * w_i * product / m_i) reduced into [0, product)."""
-    return base._tree.combine(map(operator.mul, residues, weights)) % base.product
+    base = coefficients.base
+    weighted = map(operator.mul, vector.residues, coefficients.weights)
+    return base._tree.combine(weighted) % base.product
 
 
 class LinearFormSample(NamedTuple):
@@ -207,14 +205,17 @@ def default_n2_bound(base: ModuliBase) -> int:
     return max(1 << 16, 64 * (len(base.moduli) + log_product))
 
 
-def check_form_bounds(base: ModuliBase, n2_bound: int, max_attempts: int):
+def check_form_bounds(base: ModuliBase, n2_bound: int | None, max_attempts: int) -> int:
     """Reject draw bounds under which no attempt is made or none can succeed.
 
-    With more than one modulus, ``n2_bound`` 1 forces s == t, so the two
-    forms are equal and larger than 1, never coprime.  The draw takes the bit
-    length of ``n2_bound`` and counts attempts up to ``max_attempts``, so both
-    must be ints.
+    Returns ``n2_bound``, or ``default_n2_bound(base)`` when it is None.  With
+    more than one modulus, ``n2_bound`` 1 forces s == t, so the two forms are
+    equal and larger than 1, never coprime.  The draw takes the bit length of
+    ``n2_bound`` and counts attempts up to ``max_attempts``, so both must be
+    ints.
     """
+    if n2_bound is None:
+        n2_bound = default_n2_bound(base)
     _require_int(n2_bound, "n2_bound")
     if n2_bound < 1:
         raise ValueError("n2_bound must be positive")
@@ -226,6 +227,7 @@ def check_form_bounds(base: ModuliBase, n2_bound: int, max_attempts: int):
             "n2_bound must be at least 2 for more than one modulus: "
             "with 1 the two forms are always equal and never coprime"
         )
+    return n2_bound
 
 
 def _draw_coefficients(rng, n2_bound: int, r: int) -> tuple[int, ...]:
@@ -248,8 +250,8 @@ def _first_coprime_draw(base: ModuliBase, rng, n2_bound: int, max_attempts: int)
     """Draw s then t over the cofactors until the form sums are coprime.
 
     Returns (attempt, s, t, form_s, form_t) for the first coprime draw, or
-    None once max_attempts draws have failed.  The caller checks the bounds
-    with :func:`check_form_bounds` first.
+    None once max_attempts draws have failed.  The caller resolves and checks
+    the bounds with :func:`check_form_bounds` first.
     """
     r = len(base.moduli)
     tree = base._tree
@@ -292,14 +294,13 @@ def probabilistic_reconstruct(
 ) -> tuple[int, LinearFormSample]:
     """Reconstruct via random linear forms over the cofactors.
 
-    Both coefficient vectors are drawn fresh on every attempt.  Once the two
-    form sums are coprime, a single Bezout pair (u, v) yields the weights
-    (u*s_i + v*t_i) mod m_i.
+    Both coefficient vectors are drawn fresh on every attempt.  Once the form
+    sums S and T are coprime, one Bezout pair u*S + v*T == 1 gives the value:
+    (u*s_i + v*t_i) * product / m_i is 1 mod m_i, so x is u * sum(x_i * s_i *
+    product / m_i) + v * sum(x_i * t_i * product / m_i), mod the product.
     """
     base = vector.base
-    if n2_bound is None:
-        n2_bound = default_n2_bound(base)
-    check_form_bounds(base, n2_bound, max_attempts)
+    n2_bound = check_form_bounds(base, n2_bound, max_attempts)
     found = _first_coprime_draw(base, rng, n2_bound, max_attempts)
     if found is None:
         raise AttemptsExhaustedError(max_attempts, n2_bound)
@@ -307,14 +308,11 @@ def probabilistic_reconstruct(
     u, v = _bezout_pair(form_s, form_t)
     if u * form_s + v * form_t != 1:
         raise RuntimeError("invalid Bezout pair for the linear forms")
-    # u and v are as wide as the forms: reduce them once down the tree
-    u_mod = base._tree.remainders(u)
-    v_mod = base._tree.remainders(v)
-    weights = (
-        (a * si + b * ti) % m
-        for a, b, si, ti, m in zip(u_mod, v_mod, s, t, base.moduli)
-    )
-    value = _crt_sum(vector.residues, weights, base)
+    tree, residues = base._tree, vector.residues
+    value = (
+        u * tree.combine(map(operator.mul, residues, s))
+        + v * tree.combine(map(operator.mul, residues, t))
+    ) % base.product
     sample = LinearFormSample(
         s=s,
         t=t,
@@ -338,9 +336,7 @@ def coprime_form_stats(
     first draw.  Returns (first-draw hits, total attempts, exhausted trials);
     an exhausted trial counts ``max_attempts`` attempts.
     """
-    if n2_bound is None:
-        n2_bound = default_n2_bound(base)
-    check_form_bounds(base, n2_bound, max_attempts)
+    n2_bound = check_form_bounds(base, n2_bound, max_attempts)
     hits = attempts_total = exhausted = 0
     for rng in rngs:
         found = _first_coprime_draw(base, rng, n2_bound, max_attempts)

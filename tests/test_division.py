@@ -517,6 +517,24 @@ def test_bit_size_bound_is_checked_before_static_parts(monkeypatch):
         divide(0, 3, MAX_DIVISION_BITS + 1)
 
 
+def test_unknown_mode_is_rejected_before_the_fast_paths(monkeypatch):
+    def no_static_parts(n, mode):
+        raise LookupError(f"static parts for mode {mode!r}")
+
+    monkeypatch.setattr(division, "_static_parts", no_static_parts)
+    # x == 0 and y == 1 need no plan, but still name a bad mode
+    for x, y in ((0, 3), (7, 1), (7, 3)):
+        with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
+            divide(x, y, 8, "bogus")
+    with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
+        build_plan(3, 8, "bogus")
+    # an unhashable mode is named too, not handed to the plan cache
+    with pytest.raises(ValueError, match=re.escape("unknown mode ['adaptive']")):
+        divide(7, 3, 8, ["adaptive"])
+    with pytest.raises(ValueError, match=re.escape("unknown mode ['adaptive']")):
+        build_plan(3, 8, ["adaptive"])
+
+
 def test_plan_series_denominator_is_group_product():
     plan = build_plan(7, 8, "adaptive")
     assert plan.series[1] == math.prod(plan.groups)

@@ -521,6 +521,45 @@ def test_probabilistic_matches_extended_gcd_reference(r, n2_bound):
         assert got == reference_probabilistic_reconstruct(vector, rng, n2_bound)
 
 
+def test_probabilistic_matches_reference_on_coprime_bases():
+    # prime powers, composites, shuffled order and r = 1, against the oracle
+    # that reduces u and v to per-modulus weights
+    rng = random.Random(45)
+    bases = [random_coprime_base(rng, max_len=24) for _ in range(40)]
+    bases.append(ModuliBase.from_moduli([9]))
+    assert min(len(base.moduli) for base in bases) == 1
+    assert any(base.moduli != tuple(sorted(base.moduli)) for base in bases)
+    for index, base in enumerate(bases):
+        values = [0, base.product - 1] + [rng.randrange(base.product) for _ in range(3)]
+        for seed, x in enumerate(values):
+            vector = encode(x, base)
+            got_rng = random.Random(index * 10 + seed)
+            oracle = random.Random(index * 10 + seed)
+            got = probabilistic_reconstruct(vector, got_rng)
+            assert got == reference_probabilistic_reconstruct(vector, oracle)
+            assert got[0] == x
+            assert got_rng.getstate() == oracle.getstate()
+
+
+@pytest.mark.parametrize("r", [1, 2, 16])
+def test_default_bound_is_resolved_in_one_step(r):
+    base = prime_base(r)
+    bound = default_n2_bound(base)
+    rngs = [random.Random(46)] * 50
+    explicit = [random.Random(46)] * 50
+    assert coprime_form_stats(base, rngs) == coprime_form_stats(base, explicit, bound)
+    assert coprime_form_stats(base, rngs, max_attempts=1) == coprime_form_stats(
+        base, explicit, bound, 1
+    )
+    assert rngs[0].getstate() == explicit[0].getstate()
+    vector = encode(base.product // 3, base)
+    got_rng, oracle = random.Random(47), random.Random(47)
+    got = probabilistic_reconstruct(vector, got_rng)
+    assert got == probabilistic_reconstruct(vector, oracle, bound)
+    assert got[1].n2_bound == bound
+    assert got_rng.getstate() == oracle.getstate()
+
+
 class _PlainRandom(random.Random):
     """A subclass that overrides nothing, so randint still uses getrandbits."""
 
