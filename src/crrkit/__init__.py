@@ -12,13 +12,11 @@ from .division import (
     GroupBoundReport,
     Scaler,
     adaptive_group_size,
-    build_groups,
     build_plan,
     build_scaler,
     divide,
     group_bound_report,
     group_size,
-    reciprocal_series,
     series_numerators,
     strict_moduli_count,
 )
@@ -80,7 +78,6 @@ __all__ = [
     "PrimeLimitError",
     "Scaler",
     "adaptive_group_size",
-    "build_groups",
     "build_plan",
     "build_scaler",
     "chain_weights",
@@ -99,7 +96,6 @@ __all__ = [
     "parse_base_line",
     "prime_base",
     "probabilistic_reconstruct",
-    "reciprocal_series",
     "reconstruct",
     "sequential_coefficients",
     "serialize",

@@ -23,9 +23,9 @@ from .errors import CrrError, ParseError, PrimeLimitError
 from .moduli import pairwise_coprime, prime_base, require_prime_index
 from .reconstruct import (
     chain_weights,
+    check_form_bounds,
     classical_coefficients,
     coprime_form_stats,
-    default_n2_bound,
     garner_converter,
     probabilistic_reconstruct,
     reconstruct,
@@ -309,7 +309,7 @@ def _trial_seed(seed: int, index: int) -> int:
 
 def _cmd_prob_stats(args) -> int:
     base = prime_base(args.r)
-    bound = args.n2_bound or default_n2_bound(base)
+    bound = check_form_bounds(base, args.n2_bound, args.max_attempts)
     trials = args.trials
     rngs = (random.Random(_trial_seed(args.seed, i)) for i in range(trials))
     first_hits, attempts, exhausted = coprime_form_stats(

@@ -165,29 +165,6 @@ def build_scaler(y: int, base: ModuliBase) -> Scaler:
     return Scaler(j, k, value)
 
 
-def build_groups(n: int, base: ModuliBase, size: int) -> tuple[int, ...]:
-    """Products of n+1 disjoint runs of ``size`` consecutive extension moduli.
-
-    The runs start right after the first n moduli.  Every product must exceed
-    2**(n+3); the first one that does not raises :class:`GroupBoundError`.
-    """
-    n = _require_bit_size(n)
-    if size < 1:
-        raise ValueError("group size must be positive")
-    needed = n + (n + 1) * size
-    if len(base.moduli) < needed:
-        raise ValueError(f"base has {len(base.moduli)} moduli, needs {needed}")
-    floor = 1 << (n + 3)
-    groups = []
-    for i in range(n + 1):
-        start = n + i * size
-        product = math.prod(base.moduli[start : start + size])
-        if product <= floor:
-            raise GroupBoundError(i + 1, product, floor)
-        groups.append(product)
-    return tuple(groups)
-
-
 def series_numerators(y: int, scale: int, groups) -> tuple[int, ...]:
     """Truncations floor((scale - y) * A / scale), one per group.
 
@@ -236,22 +213,6 @@ def _series_from(numerators, groups) -> tuple[int, int]:
     return q + s, q
 
 
-def reciprocal_series(numerators, groups) -> tuple[int, int]:
-    """1 + sum of running products (t_1..t_i)/(A_1..A_i) as an exact rational.
-
-    Returned unreduced over the denominator prod(A_1..A_len).
-    """
-    numerators = tuple(numerators)
-    groups = tuple(groups)
-    if len(numerators) != len(groups):
-        raise ValueError("numerators and groups must have equal length")
-    if any(a < 1 for a in groups):
-        raise ValueError("groups must be positive")
-    if any(t < 0 for t in numerators):
-        raise ValueError("numerators must be non-negative")
-    return _series_from(numerators, groups)
-
-
 class DivisionPlan(NamedTuple):
     """Everything the division of n-bit operands by one divisor needs."""
 
@@ -284,17 +245,28 @@ class DivideResult(NamedTuple):
 
 @lru_cache(maxsize=16)
 def _static_parts(n: int, mode: str):
+    """The plan's layout for n and mode: (base, group size, group products).
+
+    The n + 1 groups are disjoint runs of consecutive moduli right after the
+    first n.  Strict's count always holds them, and adaptive's is exactly
+    their need.  A product not above 2**(n+3) raises GroupBoundError.
+    """
     if mode == "strict":
         size = group_size(n)
         total = strict_moduli_count(n)
     else:  # _require_plan_key has checked the mode
         size = adaptive_group_size(n)
         total = n + (n + 1) * size
-    if n + (n + 1) * size > total:
-        raise RuntimeError("moduli budget cannot hold the groups")
     base = prime_base(total)
-    groups = build_groups(n, base, size)
-    return base, size, groups
+    floor = 1 << (n + 3)
+    groups = []
+    for i in range(n + 1):
+        start = n + i * size
+        product = math.prod(base.moduli[start : start + size])
+        if product <= floor:
+            raise GroupBoundError(i + 1, product, floor)
+        groups.append(product)
+    return base, size, tuple(groups)
 
 
 def _check_series_bound(y: int, scale: int, series: tuple[int, int], bits: int):

@@ -252,6 +252,5 @@ def prime_base(count: int) -> ModuliBase:
     count = _require_int(count, "count")
     if count < 1:
         raise ValueError("count must be positive")
-    require_prime_index(count + 2)
-    mods = tuple(nth_prime(i + 2) for i in range(1, count + 1))
-    return ModuliBase(mods)
+    nth_prime(count + 2)  # checks the ceiling and sieves far enough
+    return ModuliBase(tuple(_primes[2 : count + 2]))

@@ -99,8 +99,8 @@ class UnderApprox:
 def suffix_product_series(numerators, groups) -> tuple[int, int]:
     """Reciprocal series summed term by term over suffix products of the groups.
 
-    Reference for `reciprocal_series`: the same unreduced (numerator, denominator)
-    with denominator prod(groups).
+    Reference for `division._series_from`: the same unreduced (numerator,
+    denominator) with denominator prod(groups).
     """
     suffix = [1] * (len(groups) + 1)
     for i in range(len(groups) - 1, -1, -1):

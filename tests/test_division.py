@@ -17,7 +17,6 @@ from crrkit import (
     PrimeLimitError,
     Scaler,
     adaptive_group_size,
-    build_groups,
     build_plan,
     build_scaler,
     divide,
@@ -26,11 +25,10 @@ from crrkit import (
     group_size,
     nth_prime,
     prime_base,
-    reciprocal_series,
     series_numerators,
     strict_moduli_count,
 )
-from crrkit.division import _floor_div_log2
+from crrkit.division import _floor_div_log2, _series_from, _static_parts
 from _support import (
     UnderApprox,
     bisect_scaler,
@@ -187,8 +185,8 @@ def test_build_scaler_rejects():
 
 
 def test_build_groups_strict_64():
-    base = prime_base(874)
-    groups = build_groups(64, base, 10)
+    base, size, groups = _static_parts(64, "strict")
+    assert len(base.moduli) == 874 and size == 10
     assert len(groups) == 65
     first = math.prod(nth_prime(i) for i in range(67, 77))
     assert groups[0] == first
@@ -197,9 +195,9 @@ def test_build_groups_strict_64():
 
 
 def test_build_groups_strict_8_fails():
-    base = prime_base(45)
+    assert strict_moduli_count(8) == 45 and group_size(8) == 2
     with pytest.raises(GroupBoundError) as info:
-        build_groups(8, base, 2)
+        _static_parts(8, "strict")
     assert info.value.index == 1
     assert info.value.product == 31 * 37
 
@@ -211,17 +209,23 @@ def test_adaptive_group_size_examples():
 
 
 def test_build_groups_adaptive_8():
-    size = adaptive_group_size(8)
-    base = prime_base(8 + 9 * size)
-    groups = build_groups(8, base, size)
+    base, size, groups = _static_parts(8, "adaptive")
+    assert size == adaptive_group_size(8)
     assert len(groups) == 9
     assert groups[0] == 47027
     assert len(base.moduli) == 35
 
 
-def test_build_groups_needs_enough_moduli():
-    with pytest.raises(ValueError):
-        build_groups(8, prime_base(10), 3)
+def test_strict_count_holds_the_groups():
+    for n in range(4, MAX_DIVISION_BITS + 1):
+        assert strict_moduli_count(n) >= n + (n + 1) * group_size(n)
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 63, 64, 65, 128])
+def test_adaptive_count_is_the_groups_need(n):
+    base, size, groups = _static_parts(n, "adaptive")
+    assert len(base.moduli) == n + (n + 1) * size
+    assert len(groups) == n + 1
 
 
 # --- series numerators ---
@@ -262,7 +266,7 @@ def test_series_numerators_rejects_small_groups():
 
 
 def test_reciprocal_series_all_zero():
-    num, den = reciprocal_series((0, 0, 0), (100, 200, 300))
+    num, den = _series_from((0, 0, 0), (100, 200, 300))
     assert num == den == 100 * 200 * 300
 
 
@@ -270,7 +274,7 @@ def test_reciprocal_series_half_closed_form():
     n = 8
     groups = (1 << (n + 4),) * (n + 1)
     numerators = (1 << (n + 3),) * (n + 1)
-    num, den = reciprocal_series(numerators, groups)
+    num, den = _series_from(numerators, groups)
     assert den == math.prod(groups)
     assert Fraction(num, den) == 2 - Fraction(1, 1 << (n + 1))
     assert Fraction(2, 1) - Fraction(num, den) == Fraction(1, 1 << (n + 1))
@@ -286,7 +290,7 @@ def test_reciprocal_series_randomized_bound():
             rng.randint((1 << (n + 3)) + 1, 1 << (n + 6)) for _ in range(n + 1)
         )
         ts = tuple((den - num) * a // den for a in groups)
-        s_num, s_den = reciprocal_series(ts, groups)
+        s_num, s_den = _series_from(ts, groups)
         gap = Fraction(den, num) - Fraction(s_num, s_den)
         assert 0 <= gap <= Fraction(1, 1 << n)
 
@@ -319,7 +323,7 @@ def test_reciprocal_series_randomized_bound():
 def test_reciprocal_series_matches_suffix_product_oracle(terms):
     numerators = tuple(t for t, _ in terms)
     groups = tuple(a for _, a in terms)
-    series = reciprocal_series(numerators, groups)
+    series = _series_from(numerators, groups)
     assert series == suffix_product_series(numerators, groups)
     assert series == reference_horner_series(numerators, groups)
 
@@ -333,11 +337,6 @@ def test_plan_series_matches_horner(n, mode):
     for y in (2, 3, (1 << n) - 1, rng.randrange(2, 1 << n)):
         plan = build_plan(y, n, mode)
         assert plan.series == reference_horner_series(plan.numerators, plan.groups)
-
-
-def test_reciprocal_series_rejects_mismatch():
-    with pytest.raises(ValueError):
-        reciprocal_series((1, 2), (10,))
 
 
 def test_underapprox_type():
@@ -377,11 +376,9 @@ def test_divide_by_two_uses_degenerate_scaler():
 
 def test_divide_by_two_general_scaler_also_works():
     # same quotients through the non-degenerate scaler 4 = 2**2 * 1
-    size = adaptive_group_size(8)
-    base = prime_base(8 + 9 * size)
-    groups = build_groups(8, base, size)
+    _, _, groups = _static_parts(8, "adaptive")
     numerators = series_numerators(2, 4, groups)
-    num, den = reciprocal_series(numerators, groups)
+    num, den = _series_from(numerators, groups)
     for x in (1, 2, 3, 100, 201, 255):
         candidate = x * num // (den * 4)
         q = candidate if candidate * 2 <= x < (candidate + 1) * 2 else candidate + 1
