@@ -18,7 +18,13 @@ import stat
 import sys
 from collections import Counter
 
-from .division import DivideResult, build_plan, divide, group_bound_report
+from .division import (
+    MAX_DIVISION_BITS,
+    DivideResult,
+    build_plan,
+    divide,
+    group_bound_report,
+)
 from .errors import CrrError, ParseError, PrimeLimitError
 from .moduli import pairwise_coprime, prime_base, require_prime_index
 from .reconstruct import (
@@ -331,6 +337,12 @@ def _cmd_check_bound(args) -> int:
     if args.n_min < 4 or args.n_max < args.n_min:
         raise ValueError("need 4 <= n-min <= n-max")
     require_prime_index(args.n_max + 3)  # the last row's nth_prime(n + 3)
+    if args.n_max > MAX_DIVISION_BITS:
+        # the cost of the rows grows about quadratically with n-max
+        raise ValueError(
+            f"n-max {args.n_max} above division bound {MAX_DIVISION_BITS}: "
+            "div refuses the layouts of the rows past it"
+        )
     reports = [group_bound_report(n) for n in range(args.n_min, args.n_max + 1)]
     if args.pretty:
         print(f"{'n':>5} {'r':>4} {'m_next':>8} {'holds':>6}")

@@ -5,27 +5,26 @@ Four routes are provided:
 * classical inverse coefficients, one modular inverse per modulus;
 * a sequential chain of Bezout identities over growing prefix products,
   one Bezout pair per modulus after the first;
-* a Garner mixed-radix converter over all pairwise inverses, the
-  quadratic-count baseline;
+* a Garner mixed-radix converter that makes every pairwise inverse, the
+  quadratic-count baseline, and keeps one radix inverse per modulus;
 * a randomized route that draws integer linear forms over the cofactors
   until the two sums are coprime, then reads the value off a single Bezout
   pair.
 
 Every inversion is one C ``pow(a, -1, m)``, and one counted call is one
 such inversion; a Bezout pair is one inversion (see :func:`_bezout_pair`).
-Each deterministic route's ``egcd_calls`` is read off what it built: one
-weight, one Bezout pair or one pairwise inverse per inversion.  The random
-route's count is its ``attempts``: one ``math.gcd`` screen per attempt, and
-only the coprime draw pays for its Bezout pair.  So the four compare
-directly: r, r - 1, r(r-1)/2, and one call per random attempt.
+The classical and sequential counts are read off what they built: one
+weight or one Bezout pair per inversion.  Garner's row j is one mapped
+``pow`` pass over the j moduli before m_j, which completes or raises, so its
+r rows make r(r-1)/2 inversions.  The random route's count is its
+``attempts``: one ``math.gcd`` screen per attempt, and only the coprime draw
+pays for its Bezout pair.  So the four compare directly: r, r - 1, r(r-1)/2,
+and one call per random attempt.
 
-The classical weights and each row of Garner's table are one ``pow`` mapped
-over the row in C (see :func:`garner_converter`).  At r = 192 the table's
-18,336 inverses took about 1.06 times as long as the same bare ``pow`` calls
-in a Python loop (about 10 ms), against 1.27 times when each call went
-through a Python wrapper; decoding one vector over the table took 2.3 ms more
-(medians over 12 processes alternated with the wrapper build, 2-vCPU VM,
-Python 3.11.7).
+The classical weights and each row of Garner's inverses are one ``pow``
+mapped over the row in C.  Garner's converter costs r(r-1)/2 inversions,
+keeps r ints, one radix inverse per modulus, and decodes in O(r) big-int
+steps (see :class:`GarnerConverter`).
 
 One random attempt draws 2r coefficients with ``rng.getrandbits``, mapped in
 C (see :func:`_draw_coefficients`), combines the two forms down the product
@@ -39,7 +38,7 @@ Python 3.11.7).
 
 import math
 import operator
-from itertools import repeat
+from itertools import islice, repeat, zip_longest
 from typing import NamedTuple
 
 from .errors import AttemptsExhaustedError, BaseMismatchError
@@ -140,42 +139,58 @@ def chain_weights(pairs) -> tuple[int, ...]:
 
 
 class GarnerConverter(NamedTuple):
-    """Mixed-radix decoder built on every pairwise inverse m_i^-1 mod m_j."""
+    """Mixed-radix decoder over one radix inverse per modulus.
+
+    ``radix_inverses[j]`` is C_j = (m_0 * ... * m_{j-1})^-1 mod m_j, the
+    product of the pairwise inverses m_i^-1 mod m_j for i < j; C_0 = 1.
+    Building it costs r(r-1)/2 inversions, the converter keeps these r ints,
+    and a decode takes O(r) big-int steps.
+    """
 
     base: ModuliBase
-    inverses: tuple[tuple[int, ...], ...]
+    radix_inverses: tuple[int, ...]
     egcd_calls: int
 
     def decode(self, vector: CrrVector) -> int:
+        """The integer in [0, product) with the vector's residues.
+
+        With V the value of the digits so far and P_j = m_0 * ... * m_{j-1},
+        digit j is d_j = (x_j - V mod m_j) * C_j mod m_j, and V grows by
+        d_j * P_j.
+        """
         _require_same_base(vector.base, self.base)
-        moduli = self.base.moduli
-        digits = []
-        # every CrrVector holds its residues in [0, m) already
-        for x, m, row in zip(vector.residues, moduli, self.inverses):
-            for d, inverse in zip(digits, row):
-                x = (x - d) * inverse % m
-            digits.append(x)
-        value = 0
-        for d, m in zip(reversed(digits), reversed(moduli)):
-            value = value * m + d
+        value, radix = 0, 1
+        for x, m, c in zip(vector.residues, self.base.moduli, self.radix_inverses):
+            value += (x - value % m) * c % m * radix
+            radix *= m
         return value
 
 
-def garner_converter(base: ModuliBase) -> GarnerConverter:
-    """All pairwise inverses up front: r(r-1)/2 counted calls."""
-    moduli = base.moduli
-    rows = []
-    # row j is one mapped pow pass over moduli[:j], taken into a list first:
-    # tuple() of a lazy iterator resizes as it grows, which raised peak RSS by
-    # about 0.7 MiB over 300 converters at r = 192
+def _radix_inverses(moduli):
+    """Yield C_j for each m_j, from one mapped pow pass over the moduli before it.
+
+    The pass's inverses stream into C_j, reduced mod m_j after every 8 of
+    them so that the running product stays a few words; no row is kept.
+    """
     for j, m in enumerate(moduli):
+        row = map(pow, islice(moduli, j), repeat(-1), repeat(m))
+        c = 1
         try:
-            rows.append(tuple(list(map(pow, moduli[:j], repeat(-1), repeat(m)))))
+            for product in map(math.prod, zip_longest(*[row] * 8, fillvalue=1)):
+                c = c * product % m
         except ValueError:
             a, _ = _first_shared_factor(moduli[:j], repeat(m))
             raise _not_invertible(a, m) from None
-    inverses = tuple(rows)
-    return GarnerConverter(base, inverses, sum(map(len, inverses)))
+        yield c
+
+
+def garner_converter(base: ModuliBase) -> GarnerConverter:
+    """Every pairwise inverse m_i^-1 mod m_j, i < j: r(r-1)/2 counted calls."""
+    # a tuple grown from the generator, not a list copied into one: the copy
+    # would be a second array of r pointers at the peak
+    radix_inverses = tuple(_radix_inverses(base.moduli))
+    r = len(radix_inverses)
+    return GarnerConverter(base, radix_inverses, r * (r - 1) // 2)
 
 
 def reconstruct(vector: CrrVector, coefficients: CrtCoefficients) -> int:

@@ -206,6 +206,25 @@ def reference_garner_inverses(base: ModuliBase) -> tuple[tuple[int, ...], ...]:
     return tuple(inverses)
 
 
+def reference_garner_decode(base: ModuliBase, inverses, residues) -> int:
+    """Garner's mixed-radix decode over the full table of pairwise inverses.
+
+    Digit j subtracts each earlier digit and multiplies by its inverse in
+    turn, r(r-1)/2 word-size steps in all; the digits then join by Horner's
+    rule from the top.
+    """
+    moduli = base.moduli
+    digits = []
+    for x, m, row in zip(residues, moduli, inverses):
+        for d, inverse in zip(digits, row):
+            x = (x - d) * inverse % m
+        digits.append(x)
+    value = 0
+    for d, m in zip(reversed(digits), reversed(moduli)):
+        value = value * m + d
+    return value
+
+
 def reference_draw(rng, n2_bound: int, r: int) -> tuple[int, ...]:
     """r coefficients in [1, n2_bound], one ``randint`` call each.
 

@@ -1,5 +1,7 @@
 """Command line behaviour: outputs, exit codes, determinism."""
 
+import contextlib
+import io
 import itertools
 import os
 import random
@@ -9,8 +11,17 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from crrkit import MAX_DIVISION_BITS, cli, division, moduli, parse_base_line
+from crrkit import (
+    MAX_DIVISION_BITS,
+    cli,
+    division,
+    format_base_line,
+    moduli,
+    parse_base_line,
+)
 from crrkit.cli import main
 
 
@@ -454,6 +465,29 @@ def test_check_bound_beyond_prime_ceiling_fails_before_any_row(capsys, monkeypat
     assert err == "error: prime index 10000001 above ceiling 10000000\n"
 
 
+def test_check_bound_above_the_division_bound_fails_before_any_row(
+    capsys, monkeypatch
+):
+    def no_work(n):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(cli, "group_bound_report", no_work)
+    for n_min in ("4", str(MAX_DIVISION_BITS + 1)):
+        argv = ("check-bound", "--n-min", n_min, "--n-max", str(MAX_DIVISION_BITS + 1))
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: n-max {MAX_DIVISION_BITS + 1} above division bound "
+            f"{MAX_DIVISION_BITS}: div refuses the layouts of the rows past it\n"
+        )
+    monkeypatch.undo()
+    top = str(MAX_DIVISION_BITS)
+    code, out, _ = run(capsys, "check-bound", "--n-min", top, "--n-max", top)
+    assert code == 0
+    assert out.startswith(f"n {MAX_DIVISION_BITS} r ")
+
+
 def test_check_bound_rows(capsys):
     code, out, _ = run(capsys, "check-bound", "--n-min", "8", "--n-max", "8")
     assert code == 0
@@ -606,3 +640,157 @@ def test_import_builds_no_parser_and_loads_no_openssl():
         "*(name in sys.modules for name in ('hashlib', 'dataclasses', 'inspect')))"
     )
     assert run_python("-c", code) == (0, "0 False False False\n", "")
+
+
+# --- bounded fuzz: every call exits 0, 2 or 3, with a message unless 0 ---
+
+_SMALL = st.one_of(
+    st.integers(1, 40).map(str), st.sampled_from(["0", "-1", "", "x", "1.5", "007"])
+)
+_TOKEN = st.one_of(_SMALL, st.sampled_from([str(2**64), str(10**30)]))
+
+
+@st.composite
+def _base_line(draw) -> str:
+    """A base line: primes, moduli that share a factor, or any tokens."""
+    tokens = draw(
+        st.one_of(
+            st.integers(1, 6).map(lambda r: [*map(str, moduli.prime_base(r).moduli)]),
+            st.sampled_from([["7", "6", "10"], ["5", "7", "9", "6"], ["4", "4"]]),
+            st.lists(_TOKEN, max_size=4),
+        )
+    )
+    count = draw(st.one_of(st.just(str(len(tokens))), _TOKEN))
+    return " ".join(("base", count, *tokens))
+
+
+@st.composite
+def _crr1(draw) -> str:
+    """CRR1 text: a prime base with residues in range, or any base and tokens."""
+    if not draw(st.booleans()):
+        r = draw(st.integers(1, 6))
+        base_line = format_base_line(moduli.prime_base(r))
+        residues = draw(st.lists(st.integers(0, 4).map(str), min_size=r, max_size=r))
+    else:
+        base_line = draw(_base_line())
+        residues = draw(st.lists(_TOKEN, max_size=7))
+    magic = draw(st.sampled_from(["CRR1", "CRR1", "CRR2"]))
+    return f"{magic}\n{base_line}\n{' '.join(('res', *residues))}\n"
+
+
+def _file(lines) -> st.SearchStrategy[bytes]:
+    """A file's bytes: lines, lines cut or carrying CR, raw text or non-UTF-8.
+
+    The lines come whole in three branches of seven, so that many calls get
+    past parsing.
+    """
+    return st.one_of(
+        lines.map(str.encode),
+        lines.map(str.encode),
+        lines.map(str.encode),
+        st.tuples(lines, st.integers(0, 40)).map(lambda t: t[0][: t[1]].encode()),
+        lines.map(lambda text: text.replace("\n", "\r\n").encode()),
+        st.text(alphabet="CRbaseres 0123456789-\n\r", max_size=30).map(str.encode),
+        st.just(b"\xff\xfe base"),
+    )
+
+
+def _flag(name, values) -> st.SearchStrategy[tuple]:
+    """The flag with one drawn value, or nothing."""
+    return st.one_of(st.just(()), values.map(lambda value: (name, value)))
+
+
+def _argv(*parts) -> st.SearchStrategy[tuple]:
+    """One argv from fixed words, drawn words and drawn runs of words."""
+    return st.tuples(*map(_words, parts)).map(
+        lambda runs: tuple(itertools.chain.from_iterable(runs))
+    )
+
+
+def _words(part) -> st.SearchStrategy[tuple]:
+    if isinstance(part, str):
+        return st.just((part,))
+    return part.map(lambda drawn: drawn if isinstance(drawn, tuple) else (drawn,))
+
+
+_SWITCH = st.sampled_from([(), ("--stats",), ("--pretty",), ("--verify",)])
+_SEED = st.sampled_from(["0", "7", "random", "-1", "x", str(2**64)])
+_PATH = st.sampled_from(["@base", "@crr", "@out", "@missing", "@dir"])
+_OUT = _flag("--out", _PATH)
+_METHOD = st.sampled_from(["classical", "sequential", "garner", "garner", "prob", "x"])
+
+# "@name" stands for a path in the test's directory; the files behind "@base"
+# and "@crr" hold the example's bytes.  Sizes stay small: every count and bit
+# size is at most 40 or far out of range.  --trials has no budget yet, so it
+# stays small: prob-stats would run all of 10**30 trials.
+_ARGV = st.one_of(
+    _argv("gen-base", "--count", _TOKEN, _OUT),
+    _argv("encode", "--value", _TOKEN, "--count", _TOKEN, _OUT),
+    _argv(
+        "encode", "--value", _TOKEN,
+        "--base-file", st.sampled_from(["@base", "@dir"]),
+        _OUT,
+    ),
+    _argv("decode", "--in", "@crr", _flag("--method", _METHOD), _SWITCH),
+    _argv(
+        "decode", "--in", st.sampled_from(["@crr", "@missing", "@dir"]),
+        _flag("--method", _METHOD),
+        _flag("--seed", _SEED),
+        _flag("--n2-bound", _TOKEN),
+        _flag("--max-attempts", _TOKEN),
+        _SWITCH,
+    ),
+    _argv(
+        "div", "--x", _TOKEN, "--y", _TOKEN, "--n", _TOKEN,
+        _flag("--mode", st.sampled_from(["strict", "adaptive", "x"])),
+        _SWITCH,
+    ),
+    _argv(
+        "prob-stats", "--r", _TOKEN, "--trials", _SMALL,
+        _flag("--seed", _SEED),
+        _flag("--n2-bound", _TOKEN),
+        _flag("--max-attempts", _TOKEN),
+    ),
+    _argv(
+        "check-bound", "--n-min", _TOKEN, "--n-max", _TOKEN,
+        _flag("--assert-ge", _TOKEN),
+        _SWITCH,
+    ),
+    _argv("selftest", "--seed", st.sampled_from(["-1", "x", str(2**64)])),
+    st.lists(_TOKEN, max_size=3).map(tuple),
+)
+
+
+GARNER_STATS = ("decode", "--in", "@crr", "--method", "garner", "--stats")
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ARGV, _file(_base_line()), _file(_crr1()))
+@example(GARNER_STATS, b"", b"CRR1\nbase 1 5\nres 3\n")  # r = 1
+@example(GARNER_STATS, b"", b"CRR1\nbase 3 7 6 10\nres 1 1 1\n")
+@example(("encode", "--value", "9", "--base-file", "@base"), b"base 4 5 7 9 6\n", b"")
+@example(("selftest", "--seed", "3"), b"", b"")
+def test_cli_fuzz_exits_with_a_code_and_a_message(
+    fuzz_dir, argv, base_bytes, crr_bytes
+):
+    (fuzz_dir / "base.txt").write_bytes(base_bytes)
+    (fuzz_dir / "v.crr").write_bytes(crr_bytes)
+    paths = {
+        "@base": fuzz_dir / "base.txt",
+        "@crr": fuzz_dir / "v.crr",
+        "@out": fuzz_dir / "out.txt",
+        "@missing": fuzz_dir / "missing" / "out.txt",
+        "@dir": fuzz_dir,
+    }
+    argv = [str(paths.get(arg, arg)) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    if code:
+        assert err.getvalue().strip()

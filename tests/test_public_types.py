@@ -38,8 +38,8 @@ CASES = [
     ),
     (
         GarnerConverter,
-        dict(base=BASE, inverses=((), (3,), (9, 8)), egcd_calls=3),
-        "GarnerConverter(base=ModuliBase([5, 7, 11]), inverses=((), (3,), (9, 8)), "
+        dict(base=BASE, radix_inverses=(1, 3, 6), egcd_calls=3),
+        "GarnerConverter(base=ModuliBase([5, 7, 11]), radix_inverses=(1, 3, 6), "
         "egcd_calls=3)",
     ),
     (

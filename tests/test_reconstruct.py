@@ -36,6 +36,7 @@ from _support import (
     random_coprime_base,
     reference_classical_weights,
     reference_draw,
+    reference_garner_decode,
     reference_garner_inverses,
     reference_probabilistic_reconstruct,
     reference_sequential_weights,
@@ -275,8 +276,31 @@ def test_pow_inverses_match_extended_gcd(seed):
     assert classical.weights == reference_classical_weights(base)
     assert classical.egcd_calls == r
     garner = garner_converter(base)
-    assert garner.inverses == reference_garner_inverses(base)
+    rows = reference_garner_inverses(base)
+    assert garner.radix_inverses == tuple(
+        math.prod(row) % m for row, m in zip(rows, base.moduli)
+    )
     assert garner.egcd_calls == r * (r - 1) // 2
+
+
+@given(st.integers(0, 2**32))
+@example(197)  # r = 1: the one modulus 59**2
+@example(10)  # (293, 771, 373), with 771 = 3 * 257
+def test_garner_radix_inverses_match_the_reference_rows(seed):
+    rng = random.Random(seed)
+    base = random_coprime_base(rng)
+    moduli = base.moduli
+    rows = reference_garner_inverses(base)
+    garner = garner_converter(base)
+    assert len(garner.radix_inverses) == len(moduli)
+    for j, (c, m, row) in enumerate(zip(garner.radix_inverses, moduli, rows)):
+        assert c == math.prod(row) % m
+        assert c * math.prod(moduli[:j]) % m == 1
+    for x in (0, base.product - 1, rng.randrange(base.product)):
+        vector = encode(x, base)
+        value = garner.decode(vector)
+        assert value == reference_garner_decode(base, rows, vector.residues)
+        assert value == x
 
 
 def test_call_counts_equal_real_inversions(monkeypatch):
@@ -389,23 +413,51 @@ def test_non_coprime_messages_match_the_pairwise_walk(seed):
     assert str(failure.value) == garner
 
 
-def test_garner_table_peaks_near_what_it_keeps():
-    """Building the table holds no second copy of its rows, such as a list of
-    row lists turned into tuples afterwards."""
-    base = prime_base(192)
+@pytest.fixture(scope="module")
+def traced_builds():
+    """r -> (converter, peak, kept): bytes of one build under tracemalloc, over
+    what was traced before it.  Tracing makes a build about 25 times slower,
+    so the memory tests share these two."""
+    builds = {}
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        converter = garner_converter(base)
-        current, peak = tracemalloc.get_traced_memory()
+        for r in (192, 384):
+            base = prime_base(r)
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            converter = garner_converter(base)
+            current, peak = tracemalloc.get_traced_memory()
+            builds[r] = converter, peak - before, current - before
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert converter.egcd_calls == 192 * 191 // 2
-    assert peak - before <= 1.1 * (current - before)
+    return builds
+
+
+def test_garner_table_peaks_near_what_it_keeps(traced_builds):
+    """Building the converter holds no row of inverses and no second copy of
+    the radix inverses, such as a list turned into a tuple afterwards.
+
+    At r = 384 it keeps about 11 KiB.  A kept row would add about 14 KiB to
+    the peak and a list copy about 3 KiB; the build's fixed overhead (frame,
+    iterators) adds about 1.2 KiB.
+    """
+    converter, peak, kept = traced_builds[384]
+    assert converter.egcd_calls == 384 * 383 // 2
+    assert peak <= 1.25 * kept
+
+
+def test_garner_converter_memory_grows_linearly(traced_builds):
+    """The converter keeps r ints: doubling r at most triples the build's peak.
+
+    A table of all r(r-1)/2 pairwise inverses quadruples it, to about 2 MiB
+    at r = 384.
+    """
+    small, large = traced_builds[192][1], traced_builds[384][1]
+    assert large <= 3 * small
+    assert large < 256 * 1024
 
 
 # --- reconstruct ---
