@@ -18,15 +18,8 @@ import stat
 import sys
 from collections import Counter
 
-from .division import (
-    MAX_DIVISION_BITS,
-    DivideResult,
-    build_plan,
-    divide,
-    group_bound_report,
-)
 from .errors import CrrError, ParseError, PrimeLimitError
-from .moduli import pairwise_coprime, prime_base, require_prime_index
+from .moduli import pairwise_coprime, prime_base
 from .reconstruct import (
     chain_weights,
     check_form_bounds,
@@ -263,7 +256,7 @@ def _cmd_decode(args) -> int:
     return 0
 
 
-def _div_report(result: DivideResult, n: int) -> list[tuple[str, object]]:
+def _div_report(result: "DivideResult", n: int) -> list[tuple[str, object]]:
     rows: list[tuple[str, object]] = [
         ("q", result.quotient),
         ("correction", int(result.correction_applied)),
@@ -287,6 +280,10 @@ def _div_report(result: DivideResult, n: int) -> list[tuple[str, object]]:
 
 
 def _cmd_div(args) -> int:
+    # imported here, as in every command that divides: encode and decode
+    # never compile the division module
+    from .division import divide
+
     result = divide(args.x, args.y, args.n, args.mode)
     rows = _div_report(result, args.n)
     if args.pretty:
@@ -334,9 +331,10 @@ def _cmd_prob_stats(args) -> int:
 
 
 def _cmd_check_bound(args) -> int:
+    from .division import MAX_DIVISION_BITS, group_bound_report
+
     if args.n_min < 4 or args.n_max < args.n_min:
         raise ValueError("need 4 <= n-min <= n-max")
-    require_prime_index(args.n_max + 3)  # the last row's nth_prime(n + 3)
     if args.n_max > MAX_DIVISION_BITS:
         # the cost of the rows grows about quadratically with n-max
         raise ValueError(
@@ -407,6 +405,8 @@ def check_telescoping(base):
 
 def check_division(n: int, mode: str, rng, trials: int, *pairs) -> Counter:
     """Exact quotients for pairs, then ``trials`` random ones; counts corrections."""
+    from .division import divide
+
     draws = (
         (rng.randrange(1 << n), rng.randint(1, (1 << n) - 1)) for _ in range(trials)
     )
@@ -420,6 +420,8 @@ def check_division(n: int, mode: str, rng, trials: int, *pairs) -> Counter:
 
 def check_group_bound(lo: int, hi: int):
     """The group floor holds for every n in [lo, hi] and fails at n = 8."""
+    from .division import group_bound_report
+
     for n in range(lo, hi + 1):
         _ensure(group_bound_report(n).holds, f"bound at n={n}")
     report = group_bound_report(8)
@@ -480,6 +482,8 @@ def _self_division(rng):
 
 
 def _self_division_strict(rng):
+    from .division import build_plan
+
     x = rng.randrange(1 << 64)
     y = rng.randint(2, (1 << 64) - 1)
     check_division(64, "strict", rng, 0, (x, y))

@@ -3,12 +3,17 @@
 import itertools
 import math
 import operator
+import os
 import random
 import re
+import subprocess
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
+import crrkit
 from crrkit import (
     AttemptsExhaustedError,
     LinearFormSample,
@@ -22,6 +27,19 @@ from crrkit import (
 # Criteria on random coprime bases share this seed so the same 100 bases are
 # exercised by every check that claims to run over "the same" population.
 BASES_SEED = 20260815
+
+
+def run_python(*args):
+    """Run a fresh interpreter on the crrkit sources under test: (code, out, err)."""
+    src = str(Path(crrkit.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    return done.returncode, done.stdout, done.stderr
 
 
 def is_prime_trial(n: int) -> bool:

@@ -5,10 +5,8 @@ import io
 import itertools
 import os
 import random
-import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +21,7 @@ from crrkit import (
     parse_base_line,
 )
 from crrkit.cli import main
+from _support import run_python
 
 
 def run(capsys, *argv):
@@ -368,7 +367,7 @@ def test_internal_error_is_failure_exit_without_traceback(capsys, monkeypatch):
     def broken(*args):
         raise RuntimeError("candidate quotient off by more than one")
 
-    monkeypatch.setattr(cli, "divide", broken)
+    monkeypatch.setattr(division, "divide", broken)
     code, out, err = run(capsys, "div", "--x", "100", "--y", "7", "--n", "8")
     assert code == 3
     assert out == ""
@@ -453,32 +452,22 @@ def test_prob_stats_n2_bound_one_rejected_before_any_trial(capsys, monkeypatch):
 # --- check-bound ---
 
 
-def test_check_bound_beyond_prime_ceiling_fails_before_any_row(capsys, monkeypatch):
-    def no_work(n):
-        raise AssertionError("a row was built")
-
-    monkeypatch.setattr(cli, "group_bound_report", no_work)
-    argv = ("check-bound", "--n-min", "9999997", "--n-max", "9999998")
-    code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert err == "error: prime index 10000001 above ceiling 10000000\n"
-
-
 def test_check_bound_above_the_division_bound_fails_before_any_row(
     capsys, monkeypatch
 ):
     def no_work(n):
         raise AssertionError("a row was built")
 
-    monkeypatch.setattr(cli, "group_bound_report", no_work)
-    for n_min in ("4", str(MAX_DIVISION_BITS + 1)):
-        argv = ("check-bound", "--n-min", n_min, "--n-max", str(MAX_DIVISION_BITS + 1))
+    monkeypatch.setattr(division, "group_bound_report", no_work)
+    above = MAX_DIVISION_BITS + 1
+    # the last pair's rows would also need primes past PRIME_INDEX_CEILING
+    for n_min, n_max in ((4, above), (above, above), (9999997, 9999998)):
+        argv = ("check-bound", "--n-min", str(n_min), "--n-max", str(n_max))
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err == (
-            f"error: n-max {MAX_DIVISION_BITS + 1} above division bound "
+            f"error: n-max {n_max} above division bound "
             f"{MAX_DIVISION_BITS}: div refuses the layouts of the rows past it\n"
         )
     monkeypatch.undo()
@@ -614,18 +603,6 @@ def test_reused_parser_matches_a_fresh_one(capsys, tmp_path, monkeypatch):
     assert len(echoed) == 2
 
 
-def run_python(*args):
-    src = str(Path(cli.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, *args],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-        timeout=60,
-    )
-    return done.returncode, done.stdout, done.stderr
-
-
 def test_python_dash_m_runs_the_cli():
     expected = (0, "base 4 5 7 11 13\n", "")
     assert run_python("-m", "crrkit", "gen-base", "--count", "4") == expected
@@ -640,6 +617,29 @@ def test_import_builds_no_parser_and_loads_no_openssl():
         "*(name in sys.modules for name in ('hashlib', 'dataclasses', 'inspect')))"
     )
     assert run_python("-c", code) == (0, "0 False False False\n", "")
+
+
+def test_encode_and_decode_never_import_division(tmp_path):
+    # only div, check-bound and selftest divide; the others skip its compile
+    base, vector = str(tmp_path / "b.txt"), str(tmp_path / "v.crr")
+    code = (
+        "import sys\n"
+        "from crrkit.cli import main\n"
+        f"main(['gen-base', '--count', '12', '--out', {base!r}])\n"
+        f"main(['encode', '--value', '23', '--base-file', {base!r}, '--out', {vector!r}])\n"
+        "for method in ('classical', 'sequential', 'garner', 'prob'):\n"
+        f"    main(['decode', '--in', {vector!r}, '--method', method, '--stats'])\n"
+        "print('crrkit.division' in sys.modules)\n"
+    )
+    status, out, err = run_python("-c", code)
+    assert (status, err) == (0, "")
+    rows = lines_of(out)
+    assert rows[:3] == [f"out {base}", "reduced 0", f"out {vector}"]
+    assert [row for row in rows if row.startswith("method ")] == [
+        "method classical", "method sequential", "method garner", "method prob"
+    ]
+    assert rows.count("23") == 4
+    assert rows[-1] == "False"
 
 
 # --- bounded fuzz: every call exits 0, 2 or 3, with a message unless 0 ---

@@ -4,7 +4,11 @@ import ast
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import crrkit
+from crrkit import division
+from _support import run_python
 
 
 def test_star_import_resolves_every_public_name():
@@ -22,4 +26,48 @@ def test_package_imports_exactly_the_names_in_all():
         if isinstance(node, ast.ImportFrom) and node.level == 1
         for alias in node.names
     }
-    assert imported == set(crrkit.__all__)
+    lazy = crrkit._DIVISION_NAMES
+    assert imported | lazy == set(crrkit.__all__)
+    assert imported & lazy == set()
+    stale = [name for name in lazy if getattr(crrkit, name) is not getattr(division, name)]
+    assert stale == []
+
+
+# Each of these runs in a fresh interpreter, where no test has imported
+# crrkit.division yet.
+
+
+def test_conversions_never_import_division():
+    code = (
+        "import random, sys\n"
+        "import crrkit as k\n"
+        "base = k.prime_base(12)\n"
+        "a, b = k.encode(1234, base), k.encode(-5678, base)\n"
+        "x = (1234 * -5678 + 1234 - -5678) % base.product\n"
+        "vector = a * b + a - b\n"
+        "got = [\n"
+        "    k.reconstruct(vector, k.classical_coefficients(base)),\n"
+        "    k.reconstruct(vector, k.sequential_coefficients(base)[0]),\n"
+        "    k.garner_converter(base).decode(vector),\n"
+        "    k.probabilistic_reconstruct(vector, random.Random(1))[0],\n"
+        "]\n"
+        "print(got == [x] * 4, 'crrkit.division' in sys.modules)\n"
+    )
+    assert run_python("-c", code) == (0, "True False\n", "")
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import crrkit; f = crrkit.divide; import crrkit.division as d; print(f is d.divide)",
+        "import crrkit.division as d, crrkit; print(crrkit.divide is d.divide)",
+        # the package attribute must stay the function, not its module
+        "import crrkit.reconstruct, types; import crrkit; "
+        "print(isinstance(crrkit.reconstruct, types.FunctionType))",
+        "import crrkit; "
+        "print(set(crrkit.__all__) <= set(dir(crrkit)) and not hasattr(crrkit, 'nope'))",
+    ],
+    ids=["package-first", "division-first", "reconstruct-first", "dir"],
+)
+def test_fresh_import_binds_every_public_name(code):
+    assert run_python("-c", code) == (0, "True\n", "")
