@@ -14,6 +14,7 @@ import itertools
 import math
 import os
 import random
+import re
 import stat
 import sys
 from collections import Counter
@@ -37,6 +38,16 @@ FAILURE_EXIT = 3
 
 REFERENCE_COPRIME_RATE = 6 / math.pi**2
 
+# decode --method garner makes r(r - 1)/2 inversions: 2048 moduli take about
+# 1.2 s, and each doubling of r quadruples that
+GARNER_MAX_MODULI = 2048
+
+# prob-stats charges a trial over r moduli 16 + r + r*r // 2048 units: a
+# fixed part for its seed and generator, draws and combines that grow about
+# linearly in r, and a gcd of its two forms that grows quadratically.  A unit
+# took 2-5 us (2-vCPU VM), so a run within the budget takes a few seconds
+PROB_STATS_BUDGET = 2**19
+
 
 def _seed_arg(text: str) -> int:
     if text == "random":
@@ -51,12 +62,17 @@ def _seed_arg(text: str) -> int:
 
 
 def _positive_int(text: str) -> int:
+    shown = repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} chars)"
     try:
         value = int(text, 10)
     except ValueError:
+        # int() refuses decimals over sys.get_int_max_str_digits() digits;
+        # such a number is past every budget, so it is not converted
+        if re.fullmatch(r"\s*\+?\d(?:_?\d)*\s*", text):
+            raise argparse.ArgumentTypeError(f"too large: {shown}")
         value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}")
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {shown}")
     return value
 
 
@@ -232,6 +248,12 @@ def _cmd_decode(args) -> int:
         value = reconstruct(vector, coefficients)
         stats.append(f"egcd_calls {coefficients.egcd_calls}")
     elif args.method == "garner":
+        r = len(vector.base)
+        if r > GARNER_MAX_MODULI:
+            raise ValueError(
+                f"garner takes at most {GARNER_MAX_MODULI} moduli, not {r}: "
+                "its r(r - 1)/2 inversions grow quadratically"
+            )
         converter = garner_converter(vector.base)
         value = converter.decode(vector)
         stats.append(f"egcd_calls {converter.egcd_calls}")
@@ -311,6 +333,13 @@ def _trial_seed(seed: int, index: int) -> int:
 
 
 def _cmd_prob_stats(args) -> int:
+    per_trial = 16 + args.r + args.r * args.r // 2048
+    if args.trials * per_trial > PROB_STATS_BUDGET:
+        raise ValueError(
+            "--trials times (16 + r + r*r // 2048) is above the prob-stats "
+            f"budget of {PROB_STATS_BUDGET}: this --r allows "
+            f"{PROB_STATS_BUDGET // per_trial} trials"
+        )
     base = prime_base(args.r)
     bound = check_form_bounds(base, args.n2_bound, args.max_attempts)
     trials = args.trials

@@ -3,9 +3,11 @@
 A base is an ordered tuple of pairwise-coprime moduli.  The canonical
 generated base consists of consecutive primes starting at 5, so that every
 modulus is odd and coprime to 3.  Each base builds one product tree on first
-use; its root is the product, and the coprimality check, encode, the
-classical weights and every CRT combine walk it.  A base that nothing asks
-for its product never multiplies its moduli.
+use; its root is the product M.  Two walks of it serve every caller: up, to
+a CRT combine sum(v_i * M / m_i), and down, to the remainders of encode.  The
+cofactor sum sum(M / m_j), congruent to M / m_i modulo m_i, turns them into
+the classical cofactors and, chunk by chunk, the coprimality check.  A base
+that nothing asks for its product never multiplies its moduli.
 """
 
 import itertools
@@ -152,6 +154,12 @@ class _ProductTree:
     i >> 1 and sibling i ^ 1 when that exists.  ``chunk_cofactors`` holds each
     chunk's in-chunk cofactors, chunk product / m.  The tree costs
     O(bits * log r) memory, against O(r * bits) for the full cofactors.
+
+    It has two walks: :meth:`combine` goes up and :meth:`remainders` down.
+    The cofactor sum S = sum(product / m_j) is congruent to product / m_i
+    modulo m_i, so ``remainders(combine(all ones))`` gives every cofactor mod
+    its modulus; and :meth:`pairwise_coprime` tests each leaf against its
+    own chunk's S.
     """
 
     __slots__ = ("chunks", "chunk_cofactors", "levels")
@@ -171,48 +179,28 @@ class _ProductTree:
         """True iff the moduli are pairwise coprime (Bernstein, "Factoring into
         coprimes in essentially linear time", 2005).
 
-        Each modulus must be coprime to its in-chunk cofactor, and each node to
-        its sibling: two moduli of different chunks lie under the two children
-        of their lowest common node.  A carried odd node has no sibling.
+        Each chunk product p must be coprime to its cofactor sum, sum(p / m),
+        and each node to its sibling: two moduli of different chunks lie under
+        the two children of their lowest common node.  A carried odd node has
+        no sibling.  The chunk test is exact: a prime that divides two moduli
+        of the chunk divides every p / m, so the sum; a prime that divides
+        only the modulus m and the sum divides every other p / m', so p / m,
+        which the other moduli make up.
         """
-        pairs = zip(self.chunks, self.chunk_cofactors)
-        # zip stops at the shorter side, so a carried node is skipped
+        leaves = (self.levels[0], map(sum, self.chunk_cofactors))
+        # map stops at the shorter side, so a carried node is skipped
         siblings = ((level[::2], level[1::2]) for level in self.levels[:-1])
         return all(
             max(map(math.gcd, a, b)) == 1
-            for a, b in itertools.chain(pairs, siblings)
+            for a, b in itertools.chain([leaves], siblings)
         )
-
-    def _down(self, root_value, step) -> list:
-        """Per-chunk values from the root down: child = step(parent value, i, level)."""
-        values = [root_value]
-        for level in reversed(self.levels[:-1]):
-            values = [step(values[i >> 1], i, level) for i in range(len(level))]
-        return values
 
     def remainders(self, x: int) -> tuple[int, ...]:
         """x mod each modulus, from x mod the root down one remainder tree."""
-        values = self._down(x % self.levels[-1][0], lambda v, i, level: v % level[i])
+        values = [x % self.levels[-1][0]]
+        for level in reversed(self.levels[:-1]):
+            values = [values[i >> 1] % node for i, node in enumerate(level)]
         return tuple([v % m for v, chunk in zip(values, self.chunks) for m in chunk])
-
-    def cofactors_mod(self) -> list[int]:
-        """(product / m) mod m for each modulus m.
-
-        A node's value is (product / node) mod node: the root's is 1, and a
-        child's is its parent's times its sibling, mod the child.
-        """
-
-        def step(v, i, level):
-            if i ^ 1 < len(level):
-                v *= level[i ^ 1]
-            return v % level[i]
-
-        values = self._down(1, step)
-        return [
-            v * c % m
-            for v, chunk, cofs in zip(values, self.chunks, self.chunk_cofactors)
-            for m, c in zip(chunk, cofs)
-        ]
 
     def combine(self, values) -> int:
         """sum(v_i * product / m_i), the exact integer, bottom-up.

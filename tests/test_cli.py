@@ -226,6 +226,33 @@ def test_round_trip_beyond_int_str_digit_limit(capsys, tmp_path):
     assert sys.get_int_max_str_digits() == limit
 
 
+class Reached(Exception):
+    """Raised by a stand-in for the first costly call, past every check."""
+
+
+def test_decode_garner_above_the_budget_fails_before_any_inversion(
+    capsys, monkeypatch, tmp_path
+):
+    def reached(base):
+        raise Reached(len(base))
+
+    monkeypatch.setattr(cli, "garner_converter", reached)
+    top = cli.GARNER_MAX_MODULI
+    paths = {r: tmp_path / f"{r}.crr" for r in (top, top + 1)}
+    for r, path in paths.items():
+        argv = ("encode", "--value", "5", "--count", str(r), "--out", str(path))
+        assert run(capsys, *argv)[0] == 0
+    argv = ("decode", "--in", str(paths[top + 1]), "--method", "garner", "--stats")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: garner takes at most {top} moduli, not {top + 1}: "
+        "its r(r - 1)/2 inversions grow quadratically\n"
+    )
+    with pytest.raises(Reached):
+        main(["decode", "--in", str(paths[top]), "--method", "garner"])
+
+
 def test_decode_missing_file_is_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, "decode", "--in", str(tmp_path / "nope.crr"))
     assert code == 2
@@ -425,8 +452,13 @@ def test_prob_stats_rejects_bad_r(capsys):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--n2-bound", "0"), ("--max-attempts", "0"), ("--jobs", "2")],
-    ids=["--n2-bound", "--max-attempts", "--jobs"],
+    [
+        ("--n2-bound", "0"),
+        ("--max-attempts", "0"),
+        ("--jobs", "2"),
+        ("--max-attempts", "1" * 5000),
+    ],
+    ids=["--n2-bound", "--max-attempts", "--jobs", "--max-attempts-5000-digits"],
 )
 def test_prob_stats_rejects_zero_bound_or_attempts(capsys, flag, value):
     code, out, err = run(capsys, "prob-stats", "--r", "6", "--trials", "10", flag, value)
@@ -447,6 +479,42 @@ def test_prob_stats_n2_bound_one_rejected_before_any_trial(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("error: n2_bound must be at least 2")
+
+
+@pytest.mark.parametrize("r", [1, 8192, 31000, 50000])
+def test_prob_stats_above_the_budget_fails_before_any_sieve_or_draw(
+    capsys, monkeypatch, r
+):
+    def reached(count):
+        raise Reached(count)
+
+    monkeypatch.setattr(cli, "prime_base", reached)
+    per_trial = 16 + r + r * r // 2048
+    allowed = cli.PROB_STATS_BUDGET // per_trial
+    if allowed:  # 50000 moduli alone are over the budget
+        with pytest.raises(Reached):
+            main(["prob-stats", "--r", str(r), "--trials", str(allowed)])
+    for trials in (allowed + 1, 10**30):
+        argv = ("prob-stats", "--r", str(r), "--trials", str(trials))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: --trials times (16 + r + r*r // 2048) is above the prob-stats "
+            f"budget of {cli.PROB_STATS_BUDGET}: this --r allows {allowed} trials\n"
+        )
+
+
+def test_over_long_count_names_the_fault_and_cuts_the_token(capsys):
+    for token, fault in (
+        ("7" * 5000, "too large:"),
+        ("-" + "7" * 5000, "must be a positive integer, not"),
+    ):
+        code, out, err = run(capsys, "gen-base", "--count", token)
+        assert (code, out) == (2, "")
+        assert err.endswith(
+            f"error: argument --count: {fault} {token[:20]!r}... ({len(token)} chars)\n"
+        )
+        assert len(err) < 200
 
 
 # --- check-bound ---
@@ -721,8 +789,9 @@ _METHOD = st.sampled_from(["classical", "sequential", "garner", "garner", "prob"
 
 # "@name" stands for a path in the test's directory; the files behind "@base"
 # and "@crr" hold the example's bytes.  Sizes stay small: every count and bit
-# size is at most 40 or far out of range.  --trials has no budget yet, so it
-# stays small: prob-stats would run all of 10**30 trials.
+# size is at most 40 or far out of range, and --trials is at most 40 or past
+# the prob-stats budget.
+_TRIALS = st.one_of(_TOKEN, st.just(str(cli.PROB_STATS_BUDGET + 1)))
 _ARGV = st.one_of(
     _argv("gen-base", "--count", _TOKEN, _OUT),
     _argv("encode", "--value", _TOKEN, "--count", _TOKEN, _OUT),
@@ -746,7 +815,7 @@ _ARGV = st.one_of(
         _SWITCH,
     ),
     _argv(
-        "prob-stats", "--r", _TOKEN, "--trials", _SMALL,
+        "prob-stats", "--r", _TOKEN, "--trials", _TRIALS,
         _flag("--seed", _SEED),
         _flag("--n2-bound", _TOKEN),
         _flag("--max-attempts", _TOKEN),

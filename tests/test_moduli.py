@@ -129,11 +129,22 @@ def test_pairwise_coprime_matches_all_pairs_oracle(moduli):
 
 
 @pytest.mark.parametrize(
-    "i, j", [(0, 1), (7, 8), (8, 15), (511, 512), (0, 1024), (100, 900)]
+    "i, j",
+    [
+        (0, 1),
+        (7, 8),
+        (8, 15),
+        (511, 512),
+        (0, 1024),
+        (100, 900),
+        (1016, 1023),
+        (1023, 1024),
+    ],
 )
 def test_shared_factor_found_anywhere_in_the_tree(i, j):
     # 3 is not in the base, so (i, j) is the only pair sharing a factor:
-    # in one chunk, in sibling chunks, or under the root's two children
+    # in one chunk (the last full one too), in sibling chunks, under the
+    # root's two children, or against the carried single-modulus node
     moduli = list(prime_base(1025).moduli)
     assert pairwise_coprime(moduli)
     moduli[j] = 3 * moduli[i]

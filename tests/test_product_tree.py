@@ -8,6 +8,7 @@ every shape and across chunk boundaries.
 
 import math
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -73,6 +74,29 @@ def test_tree_matches_flat_oracles_on_random_bases(seed):
     r = len(base.moduli)
     assert sequential_coefficients(base)[0].egcd_calls == r - 1
     assert garner_converter(base).egcd_calls == r * (r - 1) // 2
+
+
+@given(st.lists(st.integers(min_value=2, max_value=60), min_size=1, max_size=40))
+def test_cofactor_sum_gives_the_classical_cofactors_on_any_base(moduli):
+    # unchecked bases, drawn as in the coprimality oracle: composite moduli
+    # and shared factors too.  S = sum(M / m_j) is M / m_i mod m_i on each.
+    base = ModuliBase(moduli)
+    product = math.prod(moduli)
+    flat = tuple(product // m % m for m in moduli)
+    tree = base._tree
+    assert tree.remainders(tree.combine([1] * len(moduli))) == flat
+    shared = [(product // m, m) for m in moduli if math.gcd(product // m, m) != 1]
+    if not shared:
+        weights = classical_coefficients(base).weights
+        assert all(w * c % m == 1 for w, c, m in zip(weights, flat, moduli))
+        return
+    cofactor, m = shared[0]
+    message = (
+        f"{cofactor} has no inverse modulo {m}: "
+        f"both are divisible by {math.gcd(cofactor, m)}"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        classical_coefficients(base)
 
 
 @pytest.mark.parametrize("r", [1, 7, 8, 9, 17, 1023, 1024, 1025])
