@@ -6,44 +6,7 @@ bounded operands through scaled reciprocal series.  The division names are
 imported from ``crrkit.division`` on first use.
 """
 
-from .errors import (
-    AttemptsExhaustedError,
-    BaseMismatchError,
-    CrrError,
-    GroupBoundError,
-    ParseError,
-    PrimeLimitError,
-)
-from .moduli import (
-    PRIME_INDEX_CEILING,
-    ModuliBase,
-    nth_prime,
-    pairwise_coprime,
-    prime_base,
-)
-from .reconstruct import (
-    CrtCoefficients,
-    GarnerConverter,
-    LinearFormSample,
-    chain_weights,
-    classical_coefficients,
-    coprime_form_stats,
-    default_n2_bound,
-    garner_converter,
-    probabilistic_reconstruct,
-    reconstruct,
-    sequential_coefficients,
-)
-from .vectors import (
-    CrrVector,
-    encode,
-    format_base_line,
-    parse,
-    parse_base_line,
-    serialize,
-)
-
-__version__ = "0.1.0"
+from . import errors, moduli, reconstruct, vectors
 
 # The division half shares only moduli and vectors with the conversions, so
 # it is compiled on first use of one of its names.  ``reconstruct`` stays
@@ -68,6 +31,25 @@ _DIVISION_NAMES = frozenset(
     }
 )
 
+# Each eager module's __all__ declares its public names.  reconstruct's is
+# read before its star import rebinds ``reconstruct`` to the function.
+__all__ = sorted(
+    {
+        *errors.__all__,
+        *moduli.__all__,
+        *reconstruct.__all__,
+        *vectors.__all__,
+        *_DIVISION_NAMES,
+    }
+)
+
+from .errors import *
+from .moduli import *
+from .reconstruct import *
+from .vectors import *
+
+__version__ = "0.1.0"
+
 
 def __getattr__(name):
     if name not in _DIVISION_NAMES:
@@ -83,47 +65,3 @@ def __getattr__(name):
 
 def __dir__():
     return sorted({*globals(), *__all__})
-
-__all__ = [
-    "AttemptsExhaustedError",
-    "BaseMismatchError",
-    "CrrError",
-    "CrrVector",
-    "CrtCoefficients",
-    "DivideResult",
-    "DivisionPlan",
-    "GarnerConverter",
-    "GroupBoundError",
-    "GroupBoundReport",
-    "LinearFormSample",
-    "MAX_DIVISION_BITS",
-    "ModuliBase",
-    "PRIME_INDEX_CEILING",
-    "ParseError",
-    "PrimeLimitError",
-    "Scaler",
-    "adaptive_group_size",
-    "build_plan",
-    "build_scaler",
-    "chain_weights",
-    "classical_coefficients",
-    "coprime_form_stats",
-    "default_n2_bound",
-    "divide",
-    "encode",
-    "format_base_line",
-    "garner_converter",
-    "group_bound_report",
-    "group_size",
-    "nth_prime",
-    "pairwise_coprime",
-    "parse",
-    "parse_base_line",
-    "prime_base",
-    "probabilistic_reconstruct",
-    "reconstruct",
-    "sequential_coefficients",
-    "serialize",
-    "series_numerators",
-    "strict_moduli_count",
-]

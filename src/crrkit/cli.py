@@ -19,7 +19,7 @@ import stat
 import sys
 from collections import Counter
 
-from .errors import CrrError, ParseError, PrimeLimitError
+from .errors import CrrError, ParseError, PrimeLimitError, excerpt
 from .moduli import pairwise_coprime, prime_base
 from .reconstruct import (
     chain_weights,
@@ -38,9 +38,23 @@ FAILURE_EXIT = 3
 
 REFERENCE_COPRIME_RATE = 6 / math.pi**2
 
-# decode --method garner makes r(r - 1)/2 inversions: 2048 moduli take about
-# 1.2 s, and each doubling of r quadruples that
+# The most moduli each quadratic decode takes, checked after the file is
+# parsed and before any inversion, Bezout pair or draw.  Each doubling of r
+# about quadruples the cost (2-vCPU VM, Python 3.11.7):
+# - garner makes r(r - 1)/2 inversions: 2048 moduli take about 1.2 s;
 GARNER_MAX_MODULI = 2048
+# - sequential keeps r - 1 Bezout pairs of up to r words each: 8192 moduli
+#   took 0.78 s and peaked at 61 MiB under tracemalloc (84 MiB RSS);
+SEQUENTIAL_MAX_MODULI = 8192
+# - prob takes one Bezout pair of two forms of about r words: 8192 moduli
+#   took 1.0 s (5.2 s at 16384), with a peak of 1 MiB.
+PROB_MAX_MODULI = 8192
+
+_DECODE_BUDGETS = {
+    "sequential": (SEQUENTIAL_MAX_MODULI, "its r - 1 Bezout pairs keep O(r^2) bits"),
+    "garner": (GARNER_MAX_MODULI, "its r(r - 1)/2 inversions grow quadratically"),
+    "prob": (PROB_MAX_MODULI, "its Bezout pair of two r-word forms grows quadratically"),
+}
 
 # prob-stats charges a trial over r moduli 16 + r + r*r // 2048 units: a
 # fixed part for its seed and generator, draws and combines that grow about
@@ -62,7 +76,7 @@ def _seed_arg(text: str) -> int:
 
 
 def _positive_int(text: str) -> int:
-    shown = repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} chars)"
+    shown = excerpt(text)
     try:
         value = int(text, 10)
     except ValueError:
@@ -97,11 +111,17 @@ def _int_digits(digits: int):
 
 
 def _int_arg(text: str) -> int:
+    """An int within Python's int <-> str digit limit: the bit-size flags."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {excerpt(text)}")
+
+
+def _long_int_arg(text: str) -> int:
+    """An int of any length: --value, --x and --y."""
     with _int_digits(len(text)):
-        try:
-            return int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        return _int_arg(text)
 
 
 def _read_file(path: str) -> str:
@@ -118,6 +138,16 @@ def _write_file(path: str, text: str):
         handle.write(text)
         if stat.S_ISREG(os.fstat(fd).st_mode):
             handle.truncate()
+
+
+def _add_random_args(p, forms=True):
+    """--seed, then the linear forms' --n2-bound and --max-attempts."""
+    p.add_argument("--seed", type=_seed_arg, default=0)
+    if forms:
+        p.add_argument("--n2-bound", type=_positive_int, dest="n2_bound")
+        p.add_argument(
+            "--max-attempts", type=_positive_int, dest="max_attempts", default=64
+        )
 
 
 @functools.cache
@@ -142,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_gen_base)
 
     p = sub.add_parser("encode", help="encode an integer as a CRR file")
-    p.add_argument("--value", type=_int_arg, required=True)
+    p.add_argument("--value", type=_long_int_arg, required=True)
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--base-file", help="file holding one base line")
     source.add_argument(
@@ -158,18 +188,14 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("classical", "sequential", "garner", "prob"),
         default="classical",
     )
-    p.add_argument("--seed", type=_seed_arg, default=0)
-    p.add_argument("--n2-bound", type=_positive_int, dest="n2_bound")
-    p.add_argument(
-        "--max-attempts", type=_positive_int, dest="max_attempts", default=64
-    )
+    _add_random_args(p)
     p.add_argument("--stats", action="store_true", help="also print call counts")
     p.set_defaults(handler=_cmd_decode)
 
     p = sub.add_parser("div", help="exact floor division through a residue plan")
-    p.add_argument("--x", type=_int_arg, required=True)
-    p.add_argument("--y", type=_int_arg, required=True)
-    p.add_argument("--n", type=int, required=True, help="operand bit size")
+    p.add_argument("--x", type=_long_int_arg, required=True)
+    p.add_argument("--y", type=_long_int_arg, required=True)
+    p.add_argument("--n", type=_int_arg, required=True, help="operand bit size")
     p.add_argument("--mode", choices=("strict", "adaptive"), default="adaptive")
     p.add_argument("--verify", action="store_true", help="cross-check the quotient")
     p.add_argument("--pretty", action="store_true")
@@ -178,19 +204,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prob-stats", help="coprime statistics of random linear forms")
     p.add_argument("--r", type=_positive_int, required=True, help="number of moduli")
     p.add_argument("--trials", type=_positive_int, required=True)
-    p.add_argument("--seed", type=_seed_arg, default=0)
-    p.add_argument("--n2-bound", type=_positive_int, dest="n2_bound")
-    p.add_argument(
-        "--max-attempts", type=_positive_int, dest="max_attempts", default=64
-    )
+    _add_random_args(p)
     p.set_defaults(handler=_cmd_prob_stats)
 
     p = sub.add_parser("check-bound", help="group floor reports over a range of n")
-    p.add_argument("--n-min", type=int, required=True)
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-min", type=_int_arg, required=True)
+    p.add_argument("--n-max", type=_int_arg, required=True)
     p.add_argument(
         "--assert-ge",
-        type=int,
+        type=_int_arg,
         dest="assert_ge",
         help="fail if any row with n >= this bound does not hold",
     )
@@ -198,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_check_bound)
 
     p = sub.add_parser("selftest", help="deterministic end-to-end battery")
-    p.add_argument("--seed", type=_seed_arg, default=0)
+    _add_random_args(p, forms=False)
     p.set_defaults(handler=_cmd_selftest)
 
     return parser
@@ -238,6 +260,13 @@ def _cmd_decode(args) -> int:
     text = _read_file(args.in_path)
     with _int_digits(len(text)):
         vector = parse(text)
+    if args.method in _DECODE_BUDGETS:
+        top, why = _DECODE_BUDGETS[args.method]
+        r = len(vector.base)
+        if r > top:
+            raise ValueError(
+                f"{args.method} takes at most {top} moduli, not {r}: {why}"
+            )
     stats = [f"method {args.method}"]
     if args.method == "classical":
         coefficients = classical_coefficients(vector.base)
@@ -248,12 +277,6 @@ def _cmd_decode(args) -> int:
         value = reconstruct(vector, coefficients)
         stats.append(f"egcd_calls {coefficients.egcd_calls}")
     elif args.method == "garner":
-        r = len(vector.base)
-        if r > GARNER_MAX_MODULI:
-            raise ValueError(
-                f"garner takes at most {GARNER_MAX_MODULI} moduli, not {r}: "
-                "its r(r - 1)/2 inversions grow quadratically"
-            )
         converter = garner_converter(vector.base)
         value = converter.decode(vector)
         stats.append(f"egcd_calls {converter.egcd_calls}")
@@ -366,8 +389,9 @@ def _cmd_check_bound(args) -> int:
         raise ValueError("need 4 <= n-min <= n-max")
     if args.n_max > MAX_DIVISION_BITS:
         # the cost of the rows grows about quadratically with n-max
+        shown = excerpt(str(args.n_max), str)
         raise ValueError(
-            f"n-max {args.n_max} above division bound {MAX_DIVISION_BITS}: "
+            f"n-max {shown} above division bound {MAX_DIVISION_BITS}: "
             "div refuses the layouts of the rows past it"
         )
     reports = [group_bound_report(n) for n in range(args.n_min, args.n_max + 1)]

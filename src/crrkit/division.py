@@ -23,7 +23,7 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import GroupBoundError
+from .errors import GroupBoundError, excerpt
 from .moduli import ModuliBase, _require_int, nth_prime, prime_base, require_prime_index
 # unused here, but the benchmark's span patches name crrkit.division.encode
 from .vectors import encode
@@ -49,7 +49,8 @@ def _require_plan_key(n: int, mode: str) -> int:
     """Check n and mode, the plan cache's key, before any plan or fast path."""
     n = _require_bit_size(n)
     if n > MAX_DIVISION_BITS:
-        raise ValueError(f"bit size {n} above division bound {MAX_DIVISION_BITS}")
+        shown = excerpt(str(n), str)
+        raise ValueError(f"bit size {shown} above division bound {MAX_DIVISION_BITS}")
     # compared by ==, so an unhashable mode is named too, not hashed
     if mode not in ("strict", "adaptive"):
         raise ValueError(f"unknown mode {mode!r}")

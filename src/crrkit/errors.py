@@ -1,5 +1,25 @@
 """Exception types shared across the toolkit."""
 
+__all__ = [
+    "AttemptsExhaustedError",
+    "BaseMismatchError",
+    "CrrError",
+    "GroupBoundError",
+    "ParseError",
+    "PrimeLimitError",
+]
+
+
+def excerpt(token: str, show=repr) -> str:
+    """``show(token)``, or for a token over 40 characters its first 20 and length.
+
+    Every message that quotes an input token goes through this, so an
+    over-long token costs a message of bounded length.
+    """
+    if len(token) <= 40:
+        return show(token)
+    return f"{show(token[:20])}... ({len(token)} chars)"
+
 
 class CrrError(Exception):
     """Base class for toolkit errors."""

@@ -17,7 +17,15 @@ import threading
 from array import array
 from functools import cached_property, lru_cache
 
-from .errors import PrimeLimitError
+from .errors import PrimeLimitError, excerpt
+
+__all__ = [
+    "PRIME_INDEX_CEILING",
+    "ModuliBase",
+    "nth_prime",
+    "pairwise_coprime",
+    "prime_base",
+]
 
 PRIME_INDEX_CEILING = 10_000_000
 
@@ -45,9 +53,8 @@ def _extend_primes():
 def require_prime_index(index: int):
     """Raise PrimeLimitError when the index-th prime is past the ceiling."""
     if index > PRIME_INDEX_CEILING:
-        raise PrimeLimitError(
-            f"prime index {index} above ceiling {PRIME_INDEX_CEILING}"
-        )
+        shown = excerpt(str(index), str)
+        raise PrimeLimitError(f"prime index {shown} above ceiling {PRIME_INDEX_CEILING}")
 
 
 def nth_prime(index: int) -> int:

@@ -45,6 +45,20 @@ from .errors import AttemptsExhaustedError, BaseMismatchError
 from .moduli import ModuliBase, _require_int
 from .vectors import CrrVector
 
+__all__ = [
+    "CrtCoefficients",
+    "GarnerConverter",
+    "LinearFormSample",
+    "chain_weights",
+    "classical_coefficients",
+    "coprime_form_stats",
+    "default_n2_bound",
+    "garner_converter",
+    "probabilistic_reconstruct",
+    "reconstruct",
+    "sequential_coefficients",
+]
+
 
 def _not_invertible(a: int, m: int) -> ValueError:
     return ValueError(

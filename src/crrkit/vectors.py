@@ -21,8 +21,17 @@ import operator
 import re
 from typing import NoReturn
 
-from .errors import BaseMismatchError, ParseError
+from .errors import BaseMismatchError, ParseError, excerpt
 from .moduli import ModuliBase, _require_int
+
+__all__ = [
+    "CrrVector",
+    "encode",
+    "format_base_line",
+    "parse",
+    "parse_base_line",
+    "serialize",
+]
 
 MAGIC = "CRR1"
 
@@ -167,7 +176,7 @@ def _below(a: str, b: str) -> bool:
 
 def _check_decimal(token: str, line_no: int, position: int):
     if not _DECIMAL.fullmatch(token):
-        raise ParseError(f"malformed integer {token!r}", line_no, position)
+        raise ParseError(f"malformed integer {excerpt(token)}", line_no, position)
 
 
 def _raise_base_error(tokens, line_no: int) -> NoReturn:
@@ -181,7 +190,8 @@ def _raise_base_error(tokens, line_no: int) -> NoReturn:
     if declared == "0":
         raise ParseError("modulus count must be positive", line_no, 2)
     if declared != str(found):
-        raise ParseError(f"expected {declared} moduli, found {found}", line_no, 2)
+        shown = excerpt(declared, str)
+        raise ParseError(f"expected {shown} moduli, found {found}", line_no, 2)
     for position, token in enumerate(tokens[2:], start=3):
         _check_decimal(token, line_no, position)
         if _below(token, "2"):
@@ -219,8 +229,9 @@ def _raise_res_error(tokens, base: ModuliBase, line_no: int) -> NoReturn:
     for position, (token, m) in enumerate(zip(tokens[1:], base.moduli), start=2):
         _check_decimal(token, line_no, position)
         if not _below(token, str(m)):
+            shown, modulus = excerpt(token, str), excerpt(str(m), str)
             raise ParseError(
-                f"residue {token} not below modulus {m}", line_no, position
+                f"residue {shown} not below modulus {modulus}", line_no, position
             )
     raise RuntimeError(f"line {line_no} failed its one-pass check on no token")
 

@@ -253,6 +253,42 @@ def test_decode_garner_above_the_budget_fails_before_any_inversion(
         main(["decode", "--in", str(paths[top]), "--method", "garner"])
 
 
+@pytest.mark.parametrize(
+    "method, first_costly_call, top, why",
+    [
+        (
+            "sequential",
+            "sequential_coefficients",
+            cli.SEQUENTIAL_MAX_MODULI,
+            "its r - 1 Bezout pairs keep O(r^2) bits",
+        ),
+        (
+            "prob",
+            "probabilistic_reconstruct",
+            cli.PROB_MAX_MODULI,
+            "its Bezout pair of two r-word forms grows quadratically",
+        ),
+    ],
+)
+def test_decode_above_the_budget_fails_before_any_pair_or_draw(
+    capsys, monkeypatch, tmp_path, method, first_costly_call, top, why
+):
+    def reached(*args, **kwargs):
+        raise Reached(method)
+
+    monkeypatch.setattr(cli, first_costly_call, reached)
+    paths = {r: tmp_path / f"{r}.crr" for r in (top, top + 1)}
+    for r, path in paths.items():
+        argv = ("encode", "--value", "5", "--count", str(r), "--out", str(path))
+        assert run(capsys, *argv)[0] == 0
+    argv = ("decode", "--in", str(paths[top + 1]), "--method", method, "--stats")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {method} takes at most {top} moduli, not {top + 1}: {why}\n"
+    with pytest.raises(Reached):
+        main(["decode", "--in", str(paths[top]), "--method", method])
+
+
 def test_decode_missing_file_is_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, "decode", "--in", str(tmp_path / "nope.crr"))
     assert code == 2
@@ -275,9 +311,11 @@ def test_decode_refuses_over_long_residue_by_its_text(capsys, tmp_path):
     code, out, err = run(capsys, "decode", "--in", str(path))
     assert code == 2
     assert out == ""
-    # refused by its length as text: no conversion of its 200,001 digits
+    # refused by its length as text: no conversion of its 200,001 digits,
+    # and the message quotes its first 20
     assert err == (
-        f"parse error: line 3, token 2: residue {digits} not below modulus 5\n"
+        f"parse error: line 3, token 2: residue {digits[:20]}... (200001 chars) "
+        "not below modulus 5\n"
     )
 
 
@@ -515,6 +553,61 @@ def test_over_long_count_names_the_fault_and_cuts_the_token(capsys):
             f"error: argument --count: {fault} {token[:20]!r}... ({len(token)} chars)\n"
         )
         assert len(err) < 200
+
+
+_VALID_CRR = "CRR1\nbase 2 5 7\nres 1 2\n"
+
+# "{}" stands for the long token, in the argv or in the text of the file that
+# "FILE" names; each case is run with the token made of each of its characters
+_LONG_TOKEN_CASES = [
+    ("gen-base --count {}", None, "x9"),
+    ("encode --value {} --count 3", None, "x"),
+    ("encode --value 5 --count {}", None, "x9"),
+    ("encode --value 5 --base-file FILE", "base {} 5 7\n", "x9"),
+    ("encode --value 5 --base-file FILE", "base 2 5 {}\n", "x"),
+    ("decode --in FILE", "CRR1\nbase 2 5 7\nres 1 {}\n", "x9"),
+    ("decode --in FILE --method prob --seed {}", _VALID_CRR, "x9"),
+    ("decode --in FILE --method prob --n2-bound {}", _VALID_CRR, "x"),
+    ("decode --in FILE --method prob --max-attempts {}", _VALID_CRR, "x"),
+    ("div --x {} --y 3 --n 8", None, "x9"),
+    ("div --x 5 --y {} --n 8", None, "x9"),
+    ("div --x 5 --y 3 --n {}", None, "x9"),
+    ("prob-stats --r {} --trials 5", None, "x9"),
+    ("prob-stats --r 5 --trials {}", None, "x9"),
+    ("prob-stats --r 5 --trials 5 --seed {}", None, "x9"),
+    ("prob-stats --r 5 --trials 5 --n2-bound {}", None, "x"),
+    ("prob-stats --r 5 --trials 5 --max-attempts {}", None, "x"),
+    ("check-bound --n-min {} --n-max 10", None, "x9"),
+    ("check-bound --n-min 8 --n-max {}", None, "x9"),
+    ("check-bound --n-min 8 --n-max 10 --assert-ge {}", None, "x9"),
+    ("selftest --seed {}", None, "x9"),
+]
+
+
+@pytest.mark.parametrize("length", [5_000, 100_000])
+@pytest.mark.parametrize(
+    "argv, file_text, fill",
+    [
+        pytest.param(argv, text, fill, id=f"{argv} [{(text or '').strip()}] {fill}")
+        for argv, text, fills in _LONG_TOKEN_CASES
+        for fill in fills
+    ],
+)
+def test_over_long_token_gets_a_short_message(
+    capsys, tmp_path, argv, file_text, fill, length
+):
+    token = fill * length
+    path = tmp_path / "input.txt"
+    if file_text is not None:
+        path.write_text(file_text.format(token))
+    args = [arg.format(token).replace("FILE", str(path)) for arg in argv.split()]
+    code, out, err = run(capsys, *args)
+    assert (code, out) == (2, "")
+    # an argparse error comes after the subcommand's usage, a text that does
+    # not depend on the token (decode's alone is 224 characters)
+    *usage, message = err.splitlines()
+    assert all(line.startswith(("usage: crrkit ", "     ")) for line in usage)
+    assert 0 < len(message) < 300
 
 
 # --- check-bound ---

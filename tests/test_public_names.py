@@ -1,6 +1,7 @@
 """The package's public names: ``__all__`` lists each exactly once, and each resolves."""
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -18,14 +19,25 @@ def test_star_import_resolves_every_public_name():
 
 
 def test_package_imports_exactly_the_names_in_all():
-    # a name dropped from one side only would stay public, or stay imported unused
+    # __all__ is the star-imported modules' own lists plus the lazy names
     tree = ast.parse(Path(crrkit.__file__).read_text())
-    imported = {
-        alias.asname or alias.name
+    starred = [
+        node.module
         for node in tree.body
         if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-    }
+        if [alias.name for alias in node.names] == ["*"]
+    ]
+    # crrkit.reconstruct names the function, so reach each module by its key
+    modules = [sys.modules[f"crrkit.{name}"] for name in starred]
+    imported = {name for module in modules for name in module.__all__}
+    # a name two modules declare is bound to the later one's object
+    shadowed = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in module.__all__
+        if getattr(crrkit, name) is not getattr(module, name)
+    ]
+    assert shadowed == []
     lazy = crrkit._DIVISION_NAMES
     assert imported | lazy == set(crrkit.__all__)
     assert imported & lazy == set()

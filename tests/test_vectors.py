@@ -330,11 +330,14 @@ def test_token_past_int_digit_limit_is_located_like_the_reference():
 
 def test_over_long_count_and_residue_are_parse_errors():
     # 5000 digits is past the default int digit limit; the tokens are
-    # refused by their text before any conversion, so int() never sees them
+    # refused by their text before any conversion, so int() never sees them;
+    # each message quotes the token's first 20 characters and its length
     zeros = "0" * 5000
-    with pytest.raises(ParseError, match="^line 3, token 2: residue 10+ not below"):
+    cut = rf"10{{19}}\.\.\. \(5001 chars\)"
+    message = f"^line 3, token 2: residue {cut} not below modulus 5$"
+    with pytest.raises(ParseError, match=message):
         parse(f"CRR1\nbase 1 5\nres 1{zeros}\n")
     with pytest.raises(
-        ParseError, match=f"^line 1, token 2: expected 1{zeros} moduli, found 1$"
+        ParseError, match=f"^line 1, token 2: expected {cut} moduli, found 1$"
     ):
         parse_base_line(f"base 1{zeros} 5")
