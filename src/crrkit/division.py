@@ -23,7 +23,7 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import GroupBoundError, excerpt
+from .errors import GroupBoundError, excerpt_int
 from .moduli import ModuliBase, _require_int, nth_prime, prime_base, require_prime_index
 # unused here, but the benchmark's span patches name crrkit.division.encode
 from .vectors import encode
@@ -34,6 +34,19 @@ def _require_bit_size(n: int) -> int:
     n = _require_int(n, "bit size")
     if n < 4:
         raise ValueError("bit size must be at least 4")
+    return n
+
+
+def _require_layout_bits(n: int) -> int:
+    """n as a bit size whose layouts stay within the prime index ceiling.
+
+    Both layouts take their first extension modulus, the one after the n
+    scaler moduli, from the (n + 3)-th prime, so past the ceiling no layout
+    of bit size n exists.  Checked before a float, a power or a shift is made
+    of n, which for an n of hundreds of digits would overflow or not finish.
+    """
+    n = _require_bit_size(n)
+    require_prime_index(n + 3)
     return n
 
 
@@ -49,8 +62,9 @@ def _require_plan_key(n: int, mode: str) -> int:
     """Check n and mode, the plan cache's key, before any plan or fast path."""
     n = _require_bit_size(n)
     if n > MAX_DIVISION_BITS:
-        shown = excerpt(str(n), str)
-        raise ValueError(f"bit size {shown} above division bound {MAX_DIVISION_BITS}")
+        raise ValueError(
+            f"bit size {excerpt_int(n)} above division bound {MAX_DIVISION_BITS}"
+        )
     # compared by ==, so an unhashable mode is named too, not hashed
     if mode not in ("strict", "adaptive"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -87,7 +101,7 @@ def _floor_div_log2(value: int, n: int) -> int:
 
 def group_size(n: int) -> int:
     """Fixed-layout group size for bit size n: floor(n / log2 n)."""
-    n = _require_bit_size(n)
+    n = _require_layout_bits(n)
     return _floor_div_log2(n, n)
 
 
@@ -97,7 +111,7 @@ def strict_moduli_count(n: int) -> int:
     A count plainly past the prime index ceiling raises PrimeLimitError from
     a float estimate, before the exact count compares powers of n**2 bits.
     """
-    n = _require_bit_size(n)
+    n = _require_layout_bits(n)
     # prime_base needs index count + 2, and the count is at least this
     # estimate less 1 for the floor, less a margin of 1 for float rounding
     require_prime_index(math.floor(n * n / math.log2(n)) + 3 * n)
@@ -106,7 +120,7 @@ def strict_moduli_count(n: int) -> int:
 
 def adaptive_group_size(n: int) -> int:
     """Smallest group size whose products clear the 2**(n+3) floor."""
-    n = _require_bit_size(n)
+    n = _require_layout_bits(n)
     floor = 1 << (n + 3)
     product, size = 1, 0
     while product <= floor:
@@ -126,7 +140,7 @@ class GroupBoundReport(NamedTuple):
 
 def group_bound_report(n: int) -> GroupBoundReport:
     """Exact check of next_modulus**group_size > 2**(n+3) for bit size n."""
-    n = _require_bit_size(n)
+    n = _require_layout_bits(n)
     size = group_size(n)
     next_modulus = nth_prime(n + 3)
     return GroupBoundReport(n, size, next_modulus, next_modulus**size > 1 << (n + 3))

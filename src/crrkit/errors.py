@@ -21,6 +21,19 @@ def excerpt(token: str, show=repr) -> str:
     return f"{show(token[:20])}... ({len(token)} chars)"
 
 
+def excerpt_int(value: int) -> str:
+    """``excerpt(str(value), str)``; an int too long for ``str()`` shows its bits.
+
+    Python refuses decimal conversions above ``sys.get_int_max_str_digits()``
+    digits (4300 by default), so such an int is named "of N bits".
+    """
+    try:
+        text = str(value)
+    except ValueError:
+        return f"of {value.bit_length()} bits"
+    return excerpt(text, str)
+
+
 class CrrError(Exception):
     """Base class for toolkit errors."""
 

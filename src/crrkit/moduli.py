@@ -5,9 +5,10 @@ generated base consists of consecutive primes starting at 5, so that every
 modulus is odd and coprime to 3.  Each base builds one product tree on first
 use; its root is the product M.  Two walks of it serve every caller: up, to
 a CRT combine sum(v_i * M / m_i), and down, to the remainders of encode.  The
-cofactor sum sum(M / m_j), congruent to M / m_i modulo m_i, turns them into
-the classical cofactors and, chunk by chunk, the coprimality check.  A base
-that nothing asks for its product never multiplies its moduli.
+cofactor sum sum(M / m_j), congruent to M / m_i modulo m_i, goes up from the
+leaves' own cofactor sums and down to the classical cofactors; leaf by leaf,
+those sums also give the coprimality check.  A base that nothing asks for
+its product never multiplies its moduli.
 """
 
 import itertools
@@ -17,7 +18,7 @@ import threading
 from array import array
 from functools import cached_property, lru_cache
 
-from .errors import PrimeLimitError, excerpt
+from .errors import PrimeLimitError, excerpt_int
 
 __all__ = [
     "PRIME_INDEX_CEILING",
@@ -38,22 +39,27 @@ _primes_lock = threading.Lock()
 def _extend_primes():
     # Sieve the next segment, roughly doubling the covered range.  The cache
     # always reaches past sqrt of the new upper bound, so the cached primes
-    # are enough to strike every composite in the segment.
+    # are enough to strike every composite in the segment.  Only its odd
+    # numbers are flagged, flag i standing for first + 2i; 2 is cached.
     last = _primes[-1]
-    lo, hi = last + 1, 2 * last + 1
-    flags = bytearray([1]) * (hi - lo)
-    for p in _primes:
+    first, hi = last + 2, 2 * last + 1
+    flags = bytearray([1]) * len(range(first, hi, 2))
+    for p in itertools.islice(_primes, 1, None):
         if p * p >= hi:
             break
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        flags[start - lo :: p] = bytes(len(range(start, hi, p)))
-    _primes.extend(itertools.compress(range(lo, hi), flags))
+        # the first odd multiple of p from max(p * p, first); odd multiples
+        # of p lie 2p apart, so p flags apart
+        start = max(p * p, (first + p - 1) // p * p)
+        if start % 2 == 0:
+            start += p
+        flags[(start - first) // 2 :: p] = bytes(len(range(start, hi, 2 * p)))
+    _primes.extend(itertools.compress(range(first, hi, 2), flags))
 
 
 def require_prime_index(index: int):
     """Raise PrimeLimitError when the index-th prime is past the ceiling."""
     if index > PRIME_INDEX_CEILING:
-        shown = excerpt(str(index), str)
+        shown = excerpt_int(index)
         raise PrimeLimitError(f"prime index {shown} above ceiling {PRIME_INDEX_CEILING}")
 
 
@@ -92,18 +98,17 @@ class ModuliBase:
 
     def __init__(self, moduli: tuple[int, ...]):
         mods = tuple(moduli)
-        plain = True
-        for m in mods:
-            # every parsed or generated base builds one, so plain ints skip the call
-            if type(m) is not int:
-                _require_int(m, "modulus")
-                plain = False
-        if not mods:
-            raise ValueError("at least one modulus required")
-        if not plain:
+        # every parsed or generated base builds one, so one pass tests the
+        # types and only a base with another type walks its moduli
+        if set(map(type, mods)) != {int}:
+            for m in mods:
+                if type(m) is not int:
+                    _require_int(m, "modulus")
             # an int subclass may override its arithmetic, which the product
             # tree and the unchecked vectors of ``crrkit.vectors`` trust
             mods = tuple(map(operator.index, mods))
+        if not mods:
+            raise ValueError("at least one modulus required")
         if min(mods) < 2:
             raise ValueError("moduli must be at least 2")
         object.__setattr__(self, "moduli", mods)
@@ -149,7 +154,11 @@ class ModuliBase:
         )
 
 
-_CHUNK = 8  # consecutive moduli per leaf of the product tree
+# Consecutive moduli per leaf of the product tree.  A sweep of the tree's
+# operations over widths 8 to 48 at r = 64 to 4096 moduli picked 32: wider
+# leaves leave fewer Python-level node steps and gcds, and from 48 up the
+# leaf steps (chunk product // m, value % m) grow with the leaf's size.
+_CHUNK = 32
 
 
 class _ProductTree:
@@ -162,32 +171,35 @@ class _ProductTree:
     chunk's in-chunk cofactors, chunk product / m.  The tree costs
     O(bits * log r) memory, against O(r * bits) for the full cofactors.
 
-    It has two walks: :meth:`combine` goes up and :meth:`remainders` down.
-    The cofactor sum S = sum(product / m_j) is congruent to product / m_i
-    modulo m_i, so ``remainders(combine(all ones))`` gives every cofactor mod
-    its modulus; and :meth:`pairwise_coprime` tests each leaf against its
-    own chunk's S.
+    It has two walks: up, from one sum per leaf to the root, and
+    :meth:`remainders` down.  :meth:`combine` starts the up-walk from each
+    chunk's weighted cofactor sum, and :meth:`cofactor_sum` from the plain
+    leaf sums sum(p / m), to S = sum(product / m_j).  S is congruent to
+    product / m_i modulo m_i, so ``remainders(cofactor_sum())`` gives every
+    cofactor mod its modulus; and :meth:`pairwise_coprime` tests each leaf
+    against its own leaf sum.
     """
 
     __slots__ = ("chunks", "chunk_cofactors", "levels")
 
     def __init__(self, moduli: tuple[int, ...]):
         self.chunks = [moduli[i : i + _CHUNK] for i in range(0, len(moduli), _CHUNK)]
-        level = [math.prod(chunk) for chunk in self.chunks]
+        level = list(map(math.prod, self.chunks))
         self.chunk_cofactors = [
             [p // m for m in chunk] for p, chunk in zip(level, self.chunks)
         ]
         self.levels = [level]
         while len(level) > 1:
-            level = [math.prod(level[i : i + 2]) for i in range(0, len(level), 2)]
+            pairs = list(map(operator.mul, level[::2], level[1::2]))
+            level = pairs + level[len(pairs) * 2 :]
             self.levels.append(level)
 
     def pairwise_coprime(self) -> bool:
         """True iff the moduli are pairwise coprime (Bernstein, "Factoring into
         coprimes in essentially linear time", 2005).
 
-        Each chunk product p must be coprime to its cofactor sum, sum(p / m),
-        and each node to its sibling: two moduli of different chunks lie under
+        Each chunk product p must be coprime to its leaf sum, sum(p / m), and
+        each node to its sibling: two moduli of different chunks lie under
         the two children of their lowest common node.  A carried odd node has
         no sibling.  The chunk test is exact: a prime that divides two moduli
         of the chunk divides every p / m, so the sum; a prime that divides
@@ -210,14 +222,22 @@ class _ProductTree:
         return tuple([v % m for v, chunk in zip(values, self.chunks) for m in chunk])
 
     def combine(self, values) -> int:
-        """sum(v_i * product / m_i), the exact integer, bottom-up.
-
-        A node's sum is left sum * right product + right sum * left product.
-        """
+        """sum(v_i * product / m_i), the exact integer, bottom-up."""
         # map stops on the chunk's cofactors before it draws from ``values``,
         # so each chunk takes exactly its own values
         values = iter(values)
         sums = [sum(map(operator.mul, cofs, values)) for cofs in self.chunk_cofactors]
+        return self._up(sums)
+
+    def cofactor_sum(self) -> int:
+        """S = sum(product / m_i), what ``combine`` gives for all ones."""
+        return self._up(list(map(sum, self.chunk_cofactors)))
+
+    def _up(self, sums: list[int]) -> int:
+        """The root's sum from one sum per leaf.
+
+        A node's sum is left sum * right product + right sum * left product.
+        """
         for level in self.levels[:-1]:
             sums = [
                 sums[i] * level[i + 1] + sums[i + 1] * level[i]

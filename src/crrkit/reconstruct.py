@@ -87,13 +87,14 @@ def classical_coefficients(base: ModuliBase) -> CrtCoefficients:
     """One modular inverse per modulus: r counted calls.
 
     Each cofactor product / m is taken mod m as S mod m, for S the sum of all
-    the cofactors, combined up the base's product tree and reduced down it:
-    every other cofactor has m as a factor.  That holds whether or not the
-    moduli are coprime, so an unchecked base fails only at its inversion.
+    the cofactors, summed up the base's product tree from its leaves' own
+    cofactor sums and reduced down it: every other cofactor has m as a
+    factor.  That holds whether or not the moduli are coprime, so an
+    unchecked base fails only at its inversion.
     Only a failure computes the full cofactor, to name it in the message.
     """
     tree = base._tree
-    cofactors = tree.remainders(tree.combine(repeat(1, len(base))))
+    cofactors = tree.remainders(tree.cofactor_sum())
     try:
         weights = tuple(list(map(pow, cofactors, repeat(-1), base.moduli)))
     except ValueError:

@@ -514,6 +514,35 @@ def test_bit_size_bound_is_checked_before_static_parts(monkeypatch):
         divide(0, 3, MAX_DIVISION_BITS + 1)
 
 
+@pytest.mark.parametrize(
+    "n", [10**400, 2**2000, 10**5000], ids=["10e400", "2e2000", "10e5000"]
+)
+@pytest.mark.parametrize(
+    "fn, error, bound",
+    [
+        (prime_base, PrimeLimitError, "above ceiling 10000000"),
+        (nth_prime, PrimeLimitError, "above ceiling 10000000"),
+        (group_size, PrimeLimitError, "above ceiling 10000000"),
+        (strict_moduli_count, PrimeLimitError, "above ceiling 10000000"),
+        (adaptive_group_size, PrimeLimitError, "above ceiling 10000000"),
+        (group_bound_report, PrimeLimitError, "above ceiling 10000000"),
+        (lambda n: divide(1, 3, n), ValueError, "above division bound 2048"),
+        (lambda n: build_plan(3, n), ValueError, "above division bound 2048"),
+    ],
+    ids=[
+        "prime_base", "nth_prime", "group_size", "strict_moduli_count",
+        "adaptive_group_size", "group_bound_report", "divide", "build_plan",
+    ],
+)
+def test_huge_ints_get_crrkit_errors_of_bounded_length(fn, error, bound, n):
+    # past about 10**308 a float of n overflows, and past 4300 digits str(n)
+    # refuses; each function names its own bound before either is tried
+    with pytest.raises(error) as info:
+        fn(n)
+    message = str(info.value)
+    assert message.endswith(bound) and len(message) < 100, message
+
+
 def test_unknown_mode_is_rejected_before_the_fast_paths(monkeypatch):
     def no_static_parts(n, mode):
         raise LookupError(f"static parts for mode {mode!r}")

@@ -18,8 +18,9 @@ from crrkit import (
     parse_base_line,
     prime_base,
 )
+from crrkit.moduli import _CHUNK as W
 from crrkit.moduli import _primes
-from _support import primes_by_trial
+from _support import primes_by_eratosthenes, primes_by_trial
 
 ORACLE_PRIMES = primes_by_trial(1100)
 
@@ -34,6 +35,15 @@ def test_nth_prime_frozen_examples():
 def test_nth_prime_matches_trial_division_oracle():
     for i, p in enumerate(ORACLE_PRIMES, start=1):
         assert nth_prime(i) == p
+
+
+def test_odd_only_sieve_matches_plain_eratosthenes():
+    # the 148,933 primes below 2 * 10**6 span several doubling segments of
+    # the odd-only sieve
+    expected = primes_by_eratosthenes(2 * 10**6)
+    assert len(expected) == 148_933
+    assert nth_prime(len(expected)) == expected[-1]
+    assert list(_primes[: len(expected)]) == expected
 
 
 def test_prime_cache_stores_four_bytes_per_prime():
@@ -116,16 +126,41 @@ def test_pairwise_coprime_examples():
     assert pairwise_coprime(prime_base(50))
 
 
-@given(st.lists(st.integers(min_value=2, max_value=60), min_size=1, max_size=40))
-def test_pairwise_coprime_matches_all_pairs_oracle(moduli):
-    # up to 40 moduli: five chunks of eight, so the check crosses chunk and
-    # tree-level boundaries
-    expected = all(
+def all_pairs_coprime(moduli) -> bool:
+    return all(
         math.gcd(moduli[i], moduli[j]) == 1
         for i in range(len(moduli))
         for j in range(i + 1, len(moduli))
     )
-    assert pairwise_coprime(moduli) == expected
+
+
+@given(st.lists(st.integers(min_value=2, max_value=60), min_size=1, max_size=40))
+def test_pairwise_coprime_matches_all_pairs_oracle(moduli):
+    # up to 40 moduli: one full leaf and a short one at the leaf width of 32
+    assert pairwise_coprime(moduli) == all_pairs_coprime(moduli)
+
+
+@given(
+    st.lists(
+        st.sampled_from(ORACLE_PRIMES[:400]), min_size=2 * W + 1, max_size=3 * W,
+        unique=True,
+    ),
+    st.booleans(),
+    st.integers(min_value=0),
+    st.integers(min_value=0),
+    st.sampled_from([1, 2, 3, 5, 7]),
+)
+def test_pairwise_coprime_matches_all_pairs_oracle_over_three_leaves(
+    primes, plant, i, j, factor
+):
+    # distinct primes, so coprime unless modulus j takes on modulus i's
+    # prime, or modulus i a factor that another modulus is
+    moduli = list(primes)
+    i, j = i % len(moduli), j % len(moduli)
+    if plant and i != j:
+        moduli[j] *= moduli[i]
+    moduli[i] *= factor
+    assert pairwise_coprime(moduli) == all_pairs_coprime(moduli)
 
 
 @pytest.mark.parametrize(
@@ -139,12 +174,18 @@ def test_pairwise_coprime_matches_all_pairs_oracle(moduli):
         (100, 900),
         (1016, 1023),
         (1023, 1024),
+        (W, 2 * W - 1),
+        (W - 1, W),
+        (0, 2 * W - 1),
+        (2 * W - 1, 2 * W),
+        (3 * W + 1, 1024),
     ],
 )
 def test_shared_factor_found_anywhere_in_the_tree(i, j):
     # 3 is not in the base, so (i, j) is the only pair sharing a factor:
-    # in one chunk (the last full one too), in sibling chunks, under the
-    # root's two children, or against the carried single-modulus node
+    # in one chunk (the last full one too), in sibling chunks, in chunks
+    # that meet only higher up, under the root's two children, or against
+    # the single-modulus chunk that is carried up as an odd node
     moduli = list(prime_base(1025).moduli)
     assert pairwise_coprime(moduli)
     moduli[j] = 3 * moduli[i]

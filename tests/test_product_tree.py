@@ -1,15 +1,16 @@
 """The per-base product tree against the flat loops over full cofactors.
 
 ``encode``, the classical weights, ``reconstruct`` and the random linear forms
-all walk one product tree per base, with chunks of eight moduli as leaves.
-Each must give exactly what the flat loop in ``_support`` gives, on bases of
-every shape and across chunk boundaries.
+all walk one product tree per base, with chunks of ``_CHUNK`` (32) moduli as
+leaves.  Each must give exactly what the flat loop in ``_support`` gives, on
+bases of every shape and across chunk boundaries.
 """
 
 import math
 import random
 import re
 import tracemalloc
+from itertools import repeat
 
 import pytest
 from hypothesis import given
@@ -26,6 +27,7 @@ from crrkit import (
     reconstruct,
     sequential_coefficients,
 )
+from crrkit.moduli import _CHUNK as W
 from _support import (
     random_coprime_base,
     reference_classical_weights,
@@ -76,15 +78,25 @@ def test_tree_matches_flat_oracles_on_random_bases(seed):
     assert garner_converter(base).egcd_calls == r * (r - 1) // 2
 
 
-@given(st.lists(st.integers(min_value=2, max_value=60), min_size=1, max_size=40))
+def combined_cofactors(base: ModuliBase) -> tuple[int, ...]:
+    """The cofactors mod their moduli from ``combine`` of all ones: the
+    oracle for ``cofactor_sum``, which goes up from the leaf sums instead."""
+    tree = base._tree
+    return tree.remainders(tree.combine(repeat(1, len(base.moduli))))
+
+
+@given(st.lists(st.integers(min_value=2, max_value=60), min_size=1, max_size=3 * W + 1))
 def test_cofactor_sum_gives_the_classical_cofactors_on_any_base(moduli):
     # unchecked bases, drawn as in the coprimality oracle: composite moduli
-    # and shared factors too.  S = sum(M / m_j) is M / m_i mod m_i on each.
+    # and shared factors too.  S = sum(M / m_j) is M / m_i mod m_i on each,
+    # whether summed from the leaf sums or combined from all ones.
     base = ModuliBase(moduli)
     product = math.prod(moduli)
     flat = tuple(product // m % m for m in moduli)
     tree = base._tree
-    assert tree.remainders(tree.combine([1] * len(moduli))) == flat
+    assert tree.cofactor_sum() == sum(product // m for m in moduli)
+    assert tree.remainders(tree.cofactor_sum()) == flat
+    assert combined_cofactors(base) == flat
     shared = [(product // m, m) for m in moduli if math.gcd(product // m, m) != 1]
     if not shared:
         weights = classical_coefficients(base).weights
@@ -99,9 +111,21 @@ def test_cofactor_sum_gives_the_classical_cofactors_on_any_base(moduli):
         classical_coefficients(base)
 
 
-@pytest.mark.parametrize("r", [1, 7, 8, 9, 17, 1023, 1024, 1025])
+@pytest.mark.parametrize(
+    "r", [1, 7, 8, 9, 17, 1023, 1024, 1025, W - 1, W, W + 1, 2 * W + 1, 3 * W]
+)
 def test_tree_matches_flat_oracles_at_chunk_boundaries(r):
     check_against_oracles(ModuliBase(prime_base(r).moduli), random.Random(r))
+
+
+@pytest.mark.parametrize("r", [1, W - 1, W, W + 1, 2 * W + 1, 3 * W, 192, 1025])
+def test_classical_weights_match_the_combined_cofactors(r):
+    # shuffled, so that the leaves hold no run of consecutive primes
+    moduli = list(prime_base(r).moduli)
+    random.Random(r).shuffle(moduli)
+    base = ModuliBase.from_moduli(moduli)
+    weights = tuple(pow(c, -1, m) for c, m in zip(combined_cofactors(base), moduli))
+    assert classical_coefficients(base).weights == weights
 
 
 def test_classical_weights_retain_only_the_tree():
