@@ -20,7 +20,7 @@ import sys
 from collections import Counter
 
 from .errors import CrrError, ParseError, PrimeLimitError, excerpt
-from .moduli import pairwise_coprime, prime_base
+from .moduli import pairwise_coprime, prime_base, prime_base_chunks
 from .reconstruct import (
     chain_weights,
     check_form_bounds,
@@ -31,7 +31,7 @@ from .reconstruct import (
     reconstruct,
     sequential_coefficients,
 )
-from .vectors import encode, format_base_line, parse, parse_base_line, serialize
+from .vectors import encode, parse, parse_base_line, serialize
 
 USAGE_EXIT = 2
 FAILURE_EXIT = 3
@@ -129,13 +129,13 @@ def _read_file(path: str) -> str:
         return handle.read()
 
 
-def _write_file(path: str, text: str):
+def _write_file(path: str, pieces):
     # Overwrite in place, then cut to length, rather than truncate on open:
     # ext4 flushes a file to disk when it is closed after a truncation to
     # zero, so every rewrite of an existing --out file waited on the disk.
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     with open(fd, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+        handle.writelines(pieces)
         if stat.S_ISREG(os.fstat(fd).st_mode):
             handle.truncate()
 
@@ -157,12 +157,14 @@ def build_parser() -> argparse.ArgumentParser:
     Reuse is safe: parsing keeps no state in the parser (``--seed random``
     draws inside its type function, and argparse looks up sys.stdout and
     sys.stderr when it prints).  Every caller shares the one parser, so none
-    may change it; ``main`` does not.
+    may change it; ``main`` does not.  ``main`` reads each command's own
+    parser from the ``commands`` map kept on it.
     """
     parser = argparse.ArgumentParser(
         prog="crrkit", description="residue number system arithmetic toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # name -> that command's parser
 
     p = sub.add_parser("gen-base", help="print a prime moduli base line")
     p.add_argument(
@@ -227,12 +229,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen_base(args) -> int:
-    line = format_base_line(prime_base(args.count))
+    # the line of format_base_line(prime_base(count)), written a chunk of
+    # primes at a time: no base, and no str per prime, for the whole count
+    chunks = prime_base_chunks(args.count)
+    pieces = itertools.chain(
+        [f"base {args.count}"],
+        (" " + " ".join(map(str, chunk)) for chunk in chunks),
+        ["\n"],
+    )
     if args.out:
-        _write_file(args.out, line + "\n")
+        _write_file(args.out, pieces)
         print(f"out {args.out}")
     else:
-        print(line)
+        sys.stdout.writelines(pieces)
     return 0
 
 
@@ -245,7 +254,7 @@ def _cmd_encode(args) -> int:
         text = serialize(encode(args.value, base))
     reduced = not 0 <= args.value < base.product
     if args.out:
-        _write_file(args.out, text)
+        _write_file(args.out, [text])
         print(f"reduced {int(reduced)}")
         print(f"out {args.out}")
     else:
@@ -543,12 +552,35 @@ def _self_division_strict(rng):
     _ensure(build_plan(y, 64, "strict").moduli_count == 874, "strict moduli count")
 
 
-def main(argv=None) -> int:
+def _parse_args(argv: list) -> argparse.Namespace:
+    """What ``build_parser().parse_args(argv)`` returns, parsing argv once.
+
+    The top parser would hand every word after the command to that command's
+    parser, so a known command goes straight to its own parser.  Anything
+    else, and a command that leaves words over, goes through the top parser,
+    which prints its own usage and errors.
+    """
     parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0])
+        )
+        if not extra:
+            return args
+    return parser.parse_args(argv)
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
+    return _run(args)
+
+
+def _run(args) -> int:
+    """Run the parsed command; map its errors to a message and exit code."""
     try:
         return args.handler(args)
     except ParseError as exc:

@@ -34,6 +34,14 @@ def excerpt_int(value: int) -> str:
     return excerpt(text, str)
 
 
+def int_repr(value: int) -> str:
+    """``repr(value)``, or ``<int of N bits>`` for an int too long for ``str()``."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<int {excerpt_int(value)}>"
+
+
 class CrrError(Exception):
     """Base class for toolkit errors."""
 

@@ -18,7 +18,7 @@ import threading
 from array import array
 from functools import cached_property, lru_cache
 
-from .errors import PrimeLimitError, excerpt_int
+from .errors import PrimeLimitError, excerpt_int, int_repr
 
 __all__ = [
     "PRIME_INDEX_CEILING",
@@ -147,11 +147,9 @@ class ModuliBase:
 
     def __repr__(self) -> str:
         if len(self.moduli) <= 8:
-            return f"ModuliBase({list(self.moduli)})"
-        return (
-            f"ModuliBase(r={len(self.moduli)}, "
-            f"{self.moduli[0]}..{self.moduli[-1]})"
-        )
+            return f"ModuliBase([{', '.join(map(int_repr, self.moduli))}])"
+        first, last = int_repr(self.moduli[0]), int_repr(self.moduli[-1])
+        return f"ModuliBase(r={len(self.moduli)}, {first}..{last})"
 
 
 # Consecutive moduli per leaf of the product tree.  A sweep of the tree's
@@ -269,3 +267,22 @@ def prime_base(count: int) -> ModuliBase:
         raise ValueError("count must be positive")
     nth_prime(count + 2)  # checks the ceiling and sieves far enough
     return ModuliBase(tuple(_primes[2 : count + 2]))
+
+
+# Primes per slice of :func:`prime_base_chunks`: 16 KiB of the sieve cache.
+_CHUNK_PRIMES = 4096
+
+
+def prime_base_chunks(count: int):
+    """The moduli of ``prime_base(count)`` as arrays of ``_CHUNK_PRIMES``,
+    sliced from the sieve cache; the last may be shorter.  Not in ``__all__``.
+
+    The ceiling is checked and the sieve run before this returns, so a
+    caller can refuse a count before it writes anything.
+    """
+    stop = count + 2
+    nth_prime(stop)
+    return (
+        _primes[i : min(i + _CHUNK_PRIMES, stop)]
+        for i in range(2, stop, _CHUNK_PRIMES)
+    )

@@ -19,9 +19,10 @@ and skip that check.
 
 import operator
 import re
+import sys
 from typing import NoReturn
 
-from .errors import BaseMismatchError, ParseError, excerpt
+from .errors import BaseMismatchError, ParseError, excerpt, int_repr
 from .moduli import ModuliBase, _require_int
 
 __all__ = [
@@ -93,7 +94,8 @@ class CrrVector:
 
     def __repr__(self):
         if len(self.residues) <= 8:
-            return f"CrrVector({list(self.residues)} over {self.base!r})"
+            shown = ", ".join(map(int_repr, self.residues))
+            return f"CrrVector([{shown}] over {self.base!r})"
         return f"CrrVector(r={len(self.residues)} over {self.base!r})"
 
 
@@ -125,6 +127,11 @@ def encode(value: int, base: ModuliBase) -> CrrVector:
 
 
 def serialize(vector: CrrVector) -> str:
+    """The CRR1 text of ``vector``.
+
+    A modulus or residue past ``sys.get_int_max_str_digits()`` digits raises
+    the interpreter's ``ValueError``, as ``str()`` does.
+    """
     res = " ".join(map(str, vector.residues))
     return f"{MAGIC}\n{format_base_line(vector.base)}\nres {res}\n"
 
@@ -146,6 +153,11 @@ def parse(text: str) -> CrrVector:
 
 
 def format_base_line(base: ModuliBase) -> str:
+    """The base line of ``base``, without its newline.
+
+    A modulus past ``sys.get_int_max_str_digits()`` digits raises the
+    interpreter's ``ValueError``, as ``str()`` does.
+    """
     mods = " ".join(map(str, base.moduli))
     return f"base {len(base.moduli)} {mods}"
 
@@ -208,8 +220,21 @@ def _parse_base_fields(line: str, line_no: int) -> ModuliBase:
         or count != str(len(fields))
     ):
         _raise_base_error(line.split(" "), line_no)
-    # every token is valid text, so only the int digit limit can refuse one
-    moduli = list(map(int, fields))
+    try:
+        moduli = list(map(int, fields))
+    except ValueError:
+        # every token is a canonical decimal, so int() refuses exactly those
+        # longer than the interpreter's digit limit
+        limit = sys.get_int_max_str_digits()
+        position, token = next(
+            (i, token) for i, token in enumerate(fields, start=3) if len(token) > limit
+        )
+        raise ParseError(
+            f"modulus {excerpt(token)} exceeds the limit ({limit} digits) "
+            "for integer string conversion",
+            line_no,
+            position,
+        ) from None
     try:
         return ModuliBase.from_moduli(moduli)
     except ValueError as exc:
@@ -247,6 +272,7 @@ def _parse_res_fields(line: str, base: ModuliBase, line_no: int) -> tuple[int, .
         or max(map(len, fields)) > len(str(max(base.moduli)))
     ):
         _raise_res_error(line.split(" "), base, line_no)
+    # no longer than a modulus, so within the int digit limit
     values = tuple(map(int, fields))
     if any(map(operator.ge, values, base.moduli)):
         _raise_res_error(line.split(" "), base, line_no)

@@ -20,6 +20,7 @@ from crrkit import (
     ModuliBase,
     ParseError,
     Scaler,
+    cli,
     default_n2_bound,
     nth_prime,
 )
@@ -40,6 +41,20 @@ def run_python(*args):
         timeout=60,
     )
     return done.returncode, done.stdout, done.stderr
+
+
+def reference_main(argv) -> int:
+    """``crrkit.cli.main`` with every argv parsed by the top parser.
+
+    The top parser hands the words after the command to that command's
+    parser, so each argv is parsed twice: the path that ``main``'s one-parse
+    dispatch replaces.
+    """
+    try:
+        args = cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else cli.USAGE_EXIT
+    return cli._run(args)
 
 
 def is_prime_trial(n: int) -> bool:

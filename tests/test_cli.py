@@ -7,6 +7,8 @@ import os
 import random
 import sys
 import time
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,7 +23,7 @@ from crrkit import (
     parse_base_line,
 )
 from crrkit.cli import main
-from _support import run_python
+from _support import reference_main, run_python
 
 
 def run(capsys, *argv):
@@ -50,6 +52,38 @@ def test_gen_base_to_file(capsys, tmp_path):
     assert code == 0
     assert out == f"out {path}\n"
     assert path.read_text() == "base 3 5 7 11\n"
+
+
+@pytest.mark.parametrize("chunks", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 1)])
+def test_gen_base_writes_the_formatted_line_across_chunks(capsys, tmp_path, chunks):
+    whole, extra = chunks
+    count = whole * moduli._CHUNK_PRIMES + extra
+    line = format_base_line(moduli.prime_base(count)) + "\n"
+    assert run(capsys, "gen-base", "--count", str(count)) == (0, line, "")
+    path = tmp_path / "base.txt"
+    path.write_text("x" * (len(line) + 100))  # overwritten, then cut to length
+    code, out, _ = run(capsys, "gen-base", "--count", str(count), "--out", str(path))
+    assert (code, out) == (0, f"out {path}\n")
+    assert path.read_text() == line
+
+
+def test_gen_base_peak_memory_is_bounded_by_the_chunk(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(moduli, "_CHUNK_PRIMES", 256)
+    count, path = 100 * 256, tmp_path / "base.txt"
+    moduli.nth_prime(count + 2)  # the sieve cache is not part of the peak
+    cli.build_parser()
+    tracemalloc.start()
+    try:
+        code = main(["gen-base", "--count", str(count), "--out", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    line = path.read_text()
+    assert line == format_base_line(moduli.prime_base(count)) + "\n"
+    # a chunk's 256 strs and their join, and the file's write buffer; the
+    # line alone is 168 kB, and one chunk of all 25,600 primes peaks at 1.9 MB
+    assert peak < 64 * 1024 < len(line) // 2
 
 
 def test_gen_base_zero_count_is_usage_error(capsys):
@@ -737,6 +771,7 @@ def test_reused_parser_matches_a_fresh_one(capsys, tmp_path, monkeypatch):
         ("prob-stats", "--r", "6", "--trials", "20"),
         ("check-bound", "--n-min", "8", "--n-max", "10", "--pretty"),
         ("selftest", "--seed", "3"),
+        ("gen-base", "--count", "4", "stray"),  # left over: the top parser
         (),  # missing subcommand
         ("encode", "--value", "1"),  # neither --count nor --base-file
         ("decode", "--in", str(bad)),  # parse error
@@ -757,6 +792,10 @@ def test_reused_parser_matches_a_fresh_one(capsys, tmp_path, monkeypatch):
     assert [code for code, _, _ in reused[-4:-1]] == [2, 2, 2]
     assert reused[-4][2].startswith("usage: crrkit")
     assert reused[-2][2].startswith("parse error: line 3, token 3:")
+    code, out, err = reused[-5]
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: crrkit [-h]")
+    assert err.endswith("crrkit: error: unrecognized arguments: stray\n")
     seeds = [lines_of(reused[i][1])[2] for i in (5, -1)]
     assert seeds == [f"seed {1 << 40}", f"seed {(1 << 40) + 1}"]
     monkeypatch.undo()  # the cached parser again, with real entropy
@@ -940,6 +979,19 @@ def fuzz_dir(tmp_path_factory):
 def test_cli_fuzz_exits_with_a_code_and_a_message(
     fuzz_dir, argv, base_bytes, crr_bytes
 ):
+    code, _, err = _fuzz_call(main, fuzz_dir, argv, base_bytes, crr_bytes)
+    assert code in (0, 2, 3)
+    if code:
+        assert err.strip()
+
+
+def _fuzz_call(entry, fuzz_dir, argv, base_bytes, crr_bytes):
+    """(exit code, stdout, stderr) of ``entry`` on argv, with "@name" paths.
+
+    The files behind "@base" and "@crr" are written first, and "random"
+    seeds draw 2**40, 2**40 + 1, ..., so every call on the same example
+    sees the same files and seeds.
+    """
     (fuzz_dir / "base.txt").write_bytes(base_bytes)
     (fuzz_dir / "v.crr").write_bytes(crr_bytes)
     paths = {
@@ -950,9 +1002,43 @@ def test_cli_fuzz_exits_with_a_code_and_a_message(
         "@dir": fuzz_dir,
     }
     argv = [str(paths.get(arg, arg)) for arg in argv]
+    draws = itertools.count(1 << 40)
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 2, 3)
-    if code:
-        assert err.getvalue().strip()
+    with (
+        mock.patch.object(
+            random.SystemRandom, "getrandbits", lambda self, bits: next(draws)
+        ),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
+        code = entry(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# the fuzz grammar, with a word appended, or its command replaced by an
+# unknown or empty word: what the top parser handles on its own
+_ORACLE_ARGV = st.one_of(
+    _ARGV,
+    st.tuples(_ARGV, st.sampled_from(["stray", "--", "-h"])).map(
+        lambda t: (*t[0], t[1])
+    ),
+    st.tuples(st.sampled_from(["", "frobnicate", "encod", "--", "-h"]), _ARGV).map(
+        lambda t: (t[0], *t[1][1:])
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ORACLE_ARGV, _file(_base_line()), _file(_crr1()))
+@example(("gen-base", "--count", "3", "stray"), b"", b"")
+@example(("encode", "--value", "1", "--count", "3", "--"), b"", b"")
+@example(("decode", "--in", "@crr", "--seed", "random", "stray"), b"", b"")
+@example(("decode", "--in", "@crr", "-h"), b"", b"")
+@example(("--help",), b"", b"")
+@example((), b"", b"")
+def test_one_parse_dispatch_matches_the_top_parser(
+    fuzz_dir, argv, base_bytes, crr_bytes
+):
+    assert _fuzz_call(main, fuzz_dir, argv, base_bytes, crr_bytes) == _fuzz_call(
+        reference_main, fuzz_dir, argv, base_bytes, crr_bytes
+    )

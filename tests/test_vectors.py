@@ -14,6 +14,7 @@ from crrkit import (
     ModuliBase,
     ParseError,
     encode,
+    format_base_line,
     nth_prime,
     parse,
     parse_base_line,
@@ -323,9 +324,58 @@ def test_token_past_int_digit_limit_is_located_like_the_reference():
     expected = outcome(reference_parse_base_tokens, line.split(" "), 1)
     assert expected[2] == 3
     assert outcome(_parse_base_fields, line, 1) == expected
-    # a long token alone is still refused by int(), as it was
-    with pytest.raises(ValueError, match="digits"):
+    # a long token alone is a ParseError at its own position
+    with pytest.raises(ParseError, match="^line 1, token 3: modulus '10{19}'"):
         _parse_base_fields(f"base 1 {long_token}", 1)
+
+
+# --- one digit past sys.get_int_max_str_digits(): the parsers name the token,
+# the reprs show the int by its bits, and the formatters keep str()'s error ---
+
+LIMIT = sys.get_int_max_str_digits()
+PAST_LIMIT = "1" * (LIMIT + 1)
+PAST_LIMIT_MESSAGE = (
+    rf"modulus '1{{20}}'\.\.\. \({LIMIT + 1} chars\) exceeds the limit "
+    rf"\({LIMIT} digits\) for integer string conversion$"
+)
+
+
+def test_parse_base_line_past_the_digit_limit_is_a_parse_error():
+    with pytest.raises(ParseError, match=f"^line 1, token 4: {PAST_LIMIT_MESSAGE}"):
+        parse_base_line(f"base 2 7 {PAST_LIMIT}\n")
+
+
+def test_parse_past_the_digit_limit_is_a_parse_error():
+    with pytest.raises(ParseError, match=f"^line 2, token 3: {PAST_LIMIT_MESSAGE}"):
+        parse(f"CRR1\nbase 1 {PAST_LIMIT}\nres 0\n")
+
+
+def test_moduli_base_repr_past_the_digit_limit_shows_bits():
+    wide = 10**LIMIT + 1  # LIMIT + 1 digits
+    bits = wide.bit_length()
+    assert repr(ModuliBase([wide, 7])) == f"ModuliBase([<int of {bits} bits>, 7])"
+    nine = ModuliBase([*prime_base(8).moduli, wide])
+    assert repr(nine) == f"ModuliBase(r=9, 5..<int of {bits} bits>)"
+    at_limit = 10 ** (LIMIT - 1) + 1  # LIMIT digits: shown in full, as before
+    assert repr(ModuliBase([at_limit])) == f"ModuliBase([{at_limit}])"
+
+
+def test_crr_vector_repr_past_the_digit_limit_shows_bits():
+    wide = 10**LIMIT + 1
+    vector = CrrVector(ModuliBase([wide, 7]), (wide - 1, 3))
+    bits = wide.bit_length()
+    shown = f"<int of {(wide - 1).bit_length()} bits>"
+    assert repr(vector) == (
+        f"CrrVector([{shown}, 3] over ModuliBase([<int of {bits} bits>, 7]))"
+    )
+
+
+def test_formatters_past_the_digit_limit_keep_the_interpreters_error():
+    wide = ModuliBase([10**LIMIT + 1])
+    with pytest.raises(ValueError, match="Exceeds the limit"):
+        format_base_line(wide)
+    with pytest.raises(ValueError, match="Exceeds the limit"):
+        serialize(encode(3, wide))
 
 
 def test_over_long_count_and_residue_are_parse_errors():
