@@ -18,6 +18,7 @@ import re
 import stat
 import sys
 from collections import Counter
+from typing import NamedTuple
 
 from .errors import CrrError, ParseError, PrimeLimitError, excerpt
 from .moduli import pairwise_coprime, prime_base, prime_base_chunks
@@ -37,6 +38,8 @@ USAGE_EXIT = 2
 FAILURE_EXIT = 3
 
 REFERENCE_COPRIME_RATE = 6 / math.pi**2
+
+METHODS = ("classical", "sequential", "garner", "prob")
 
 # The most moduli each quadratic decode takes, checked after the file is
 # parsed and before any inversion, Bezout pair or draw.  Each doubling of r
@@ -185,11 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decode", help="decode a CRR file back to its integer")
     p.add_argument("--in", dest="in_path", required=True)
-    p.add_argument(
-        "--method",
-        choices=("classical", "sequential", "garner", "prob"),
-        default="classical",
-    )
+    p.add_argument("--method", choices=METHODS, default="classical")
     _add_random_args(p)
     p.add_argument("--stats", action="store_true", help="also print call counts")
     p.set_defaults(handler=_cmd_decode)
@@ -263,50 +262,61 @@ def _cmd_encode(args) -> int:
     return 0
 
 
+class _Decoded(NamedTuple):
+    """One decode; ``attempts`` and ``n2_bound`` are prob's, 0 for the others."""
+
+    value: int
+    egcd_calls: int
+    attempts: int = 0
+    n2_bound: int = 0
+
+
+def _decoder(method: str, base, rng=0, n2_bound=None, max_attempts=64):
+    """Check ``method``'s budget, then build its weights or converter for
+    ``base`` once: the function vector -> ``_Decoded``.
+
+    ``rng`` is prob's generator, or a seed that only prob makes one of.  Routes
+    are looked up in this module when called, where span patches replace them.
+    """
+    top, why = _DECODE_BUDGETS.get(method, (len(base), ""))
+    if len(base) > top:
+        raise ValueError(f"{method} takes at most {top} moduli, not {len(base)}: {why}")
+    if method == "garner":
+        garner = garner_converter(base)
+        return lambda vector: _Decoded(garner.decode(vector), garner.egcd_calls)
+    if method == "prob":
+        rng = random.Random(rng) if isinstance(rng, int) else rng
+
+        def decode(vector):
+            value, draw = probabilistic_reconstruct(vector, rng, n2_bound, max_attempts)
+            return _Decoded(value, draw.attempts, draw.attempts, draw.n2_bound)
+
+        return decode
+    if method == "classical":
+        weights = classical_coefficients(base)
+    else:
+        weights, _ = sequential_coefficients(base)
+    return lambda vector: _Decoded(reconstruct(vector, weights), weights.egcd_calls)
+
+
 def _cmd_decode(args) -> int:
     # the file holds every modulus in decimal, so its length bounds the
     # digits of each token and of the base product, hence of the value
     text = _read_file(args.in_path)
     with _int_digits(len(text)):
         vector = parse(text)
-    if args.method in _DECODE_BUDGETS:
-        top, why = _DECODE_BUDGETS[args.method]
-        r = len(vector.base)
-        if r > top:
-            raise ValueError(
-                f"{args.method} takes at most {top} moduli, not {r}: {why}"
-            )
-    stats = [f"method {args.method}"]
-    if args.method == "classical":
-        coefficients = classical_coefficients(vector.base)
-        value = reconstruct(vector, coefficients)
-        stats.append(f"egcd_calls {coefficients.egcd_calls}")
-    elif args.method == "sequential":
-        coefficients, _ = sequential_coefficients(vector.base)
-        value = reconstruct(vector, coefficients)
-        stats.append(f"egcd_calls {coefficients.egcd_calls}")
-    elif args.method == "garner":
-        converter = garner_converter(vector.base)
-        value = converter.decode(vector)
-        stats.append(f"egcd_calls {converter.egcd_calls}")
-    else:
-        rng = random.Random(args.seed)
-        value, sample = probabilistic_reconstruct(
-            vector, rng, n2_bound=args.n2_bound, max_attempts=args.max_attempts
-        )
-        stats.extend(
-            (
-                f"seed {args.seed}",
-                f"n2_bound {sample.n2_bound}",
-                f"attempts {sample.attempts}",
-                f"egcd_calls {sample.attempts}",
-            )
-        )
+    decoded = _decoder(
+        args.method, vector.base, args.seed, args.n2_bound, args.max_attempts
+    )(vector)
     with _int_digits(len(text)):
-        print(value)
+        print(decoded.value)
     if args.stats:
-        for line in stats:
-            print(line)
+        print(f"method {args.method}")
+        if decoded.attempts:  # a route that draws: its seed, bound and draws
+            print(f"seed {args.seed}")
+            print(f"n2_bound {decoded.n2_bound}")
+            print(f"attempts {decoded.attempts}")
+        print(f"egcd_calls {decoded.egcd_calls}")
     return 0
 
 
@@ -437,26 +447,27 @@ def _ensure(condition: bool, message: str):
 
 def check_roundtrip(base, rng, trials: int):
     """Random values below the product decode back through all four routes."""
-    classical = classical_coefficients(base)
-    sequential, _ = sequential_coefficients(base)
-    garner = garner_converter(base)
+    decoders = [(method, _decoder(method, base, rng)) for method in METHODS]
     for _ in range(trials):
         x = rng.randrange(base.product)
         vector = encode(x, base)
-        _ensure(reconstruct(vector, classical) == x, "classical")
-        _ensure(reconstruct(vector, sequential) == x, "sequential")
-        _ensure(garner.decode(vector) == x, "garner")
-        got, _ = probabilistic_reconstruct(vector, rng)
-        _ensure(got == x, "probabilistic")
+        for method, decode in decoders:
+            _ensure(decode(vector).value == x, method)
 
 
 def check_egcd_counts(r: int):
-    """The call-count laws r, r - 1 and r(r - 1)/2 on the first r primes."""
+    """The call-count laws on the first r primes, also as --stats reports them."""
     base = prime_base(r)
     _ensure(classical_coefficients(base).egcd_calls == r, "classical count")
     sequential, pairs = sequential_coefficients(base)
     _ensure(sequential.egcd_calls == len(pairs) == r - 1, "sequential count")
     _ensure(garner_converter(base).egcd_calls == r * (r - 1) // 2, "garner count")
+    # the calls that build each route's weights or converter, then prob's one
+    # per attempt: the egcd_calls that decode --stats prints
+    vector = encode(base.product - 1, base)
+    for method, law in zip(METHODS, (r, r - 1, r * (r - 1) // 2, 0)):
+        decoded = _decoder(method, base)(vector)
+        _ensure(decoded.egcd_calls == law + decoded.attempts, f"{method} decode count")
 
 
 def check_telescoping(base):

@@ -8,6 +8,7 @@ import random
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -16,11 +17,15 @@ from hypothesis import strategies as st
 
 from crrkit import (
     MAX_DIVISION_BITS,
+    CrrError,
     cli,
     division,
+    encode,
     format_base_line,
     moduli,
     parse_base_line,
+    prime_base,
+    probabilistic_reconstruct,
 )
 from crrkit.cli import main
 from _support import reference_main, run_python
@@ -231,6 +236,72 @@ def test_decode_prob_n2_bound_one_is_usage_error(capsys, encoded_23):
     assert code == 2
     assert out == ""
     assert err.startswith("error: n2_bound must be at least 2")
+
+
+def test_decode_seeds_a_generator_only_for_prob(capsys, monkeypatch, encoded_23):
+    made = []
+
+    class Counted(random.Random):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(cli.random, "Random", Counted)
+    for method in cli.METHODS:
+        made.clear()
+        argv = ("decode", "--in", encoded_23, "--method", method, "--seed", "7")
+        assert run(capsys, *argv) == (0, "23\n", "")
+        assert made == ([(7,)] if method == "prob" else []), method
+
+
+def test_check_roundtrip_builds_each_deterministic_route_once(monkeypatch):
+    expected = {
+        "classical_coefficients": 1,
+        "sequential_coefficients": 1,
+        "garner_converter": 1,
+        "reconstruct": 40,
+        "probabilistic_reconstruct": 20,
+    }
+    calls = Counter()
+    for name in expected:
+
+        def counted(*args, _name=name, _route=getattr(cli, name), **kwargs):
+            calls[_name] += 1
+            return _route(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    cli.check_roundtrip(prime_base(8), random.Random(0), 20)
+    assert calls == expected
+
+
+def test_check_roundtrip_draws_a_value_then_its_forms():
+    # the order of the draws from rng fixes what every selftest seed checks
+    base, seed = prime_base(8), 11
+    checked = random.Random(seed)
+    cli.check_roundtrip(base, checked, 30)
+    rng = random.Random(seed)
+    for _ in range(30):
+        probabilistic_reconstruct(encode(rng.randrange(base.product), base), rng)
+    assert checked.getstate() == rng.getstate()
+
+
+@pytest.mark.parametrize("method", cli.METHODS)
+def test_check_egcd_counts_checks_the_decode_records(monkeypatch, method):
+    decoder = cli._decoder
+
+    def miscounting(name, *args):
+        decode = decoder(name, *args)
+
+        def miscounted(vector):
+            decoded = decode(vector)
+            return decoded._replace(egcd_calls=decoded.egcd_calls + (name == method))
+
+        return miscounted
+
+    cli.check_egcd_counts(8)
+    monkeypatch.setattr(cli, "_decoder", miscounting)
+    with pytest.raises(CrrError, match=f"^{method} decode count$"):
+        cli.check_egcd_counts(8)
 
 
 def test_round_trip_beyond_int_str_digit_limit(capsys, tmp_path):
