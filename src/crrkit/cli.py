@@ -60,9 +60,9 @@ _DECODE_BUDGETS = {
 }
 
 # prob-stats charges a trial over r moduli 16 + r + r*r // 2048 units: a
-# fixed part for its seed and generator, draws and combines that grow about
-# linearly in r, and a gcd of its two forms that grows quadratically.  A unit
-# took 2-5 us (2-vCPU VM), so a run within the budget takes a few seconds
+# fixed part per trial, draws and combines that grow about linearly in r,
+# and a gcd of its two forms that grows quadratically.  A unit took 2-5 us
+# (2-vCPU VM), so a run within the budget takes a few seconds
 PROB_STATS_BUDGET = 2**19
 
 
@@ -365,15 +365,6 @@ def _cmd_div(args) -> int:
     return 0
 
 
-def _trial_seed(seed: int, index: int) -> int:
-    # imported here: hashlib loads OpenSSL, about 4 MiB of resident memory
-    # that no other subcommand needs
-    import hashlib
-
-    digest = hashlib.sha256(f"{seed}:{index}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
 def _cmd_prob_stats(args) -> int:
     per_trial = 16 + args.r + args.r * args.r // 2048
     if args.trials * per_trial > PROB_STATS_BUDGET:
@@ -385,17 +376,15 @@ def _cmd_prob_stats(args) -> int:
     base = prime_base(args.r)
     bound = check_form_bounds(base, args.n2_bound, args.max_attempts)
     trials = args.trials
-    rngs = (random.Random(_trial_seed(args.seed, i)) for i in range(trials))
     first_hits, attempts, exhausted = coprime_form_stats(
-        base, rngs, bound, args.max_attempts
+        base, random.Random(args.seed), trials, bound, args.max_attempts
     )
-    mean_attempts = attempts / trials
     print(f"r {args.r}")
     print(f"trials {trials}")
     print(f"seed {args.seed}")
     print(f"n2_bound {bound}")
     print(f"coprime_fraction {first_hits / trials:.6f}")
-    print(f"mean_attempts {mean_attempts:.6f}")
+    print(f"mean_attempts {attempts / trials:.6f}")
     print(f"exhausted {exhausted}")
     print(f"reference {REFERENCE_COPRIME_RATE:.6f}")
     return 0
@@ -504,9 +493,7 @@ def check_group_bound(lo: int, hi: int):
 
 def check_coprime_rate(base, rng, trials: int, low: float, high: float) -> float:
     """First-draw coprime rate in [low, high]; returns the mean attempts."""
-    hits, attempts_total, exhausted = coprime_form_stats(
-        base, itertools.repeat(rng, trials)
-    )
+    hits, attempts_total, exhausted = coprime_form_stats(base, rng, trials)
     _ensure(not exhausted, "form draw exhausted")
     _ensure(low <= hits / trials <= high, "coprime rate out of range")
     return attempts_total / trials

@@ -155,15 +155,9 @@ class Scaler(NamedTuple):
 
 
 def build_scaler(y: int, base: ModuliBase) -> Scaler:
-    """Smallest scaler of the layout above with y/value in [1/2, 1).
-
-    y == 2 is the one special case: its scaler is 2 itself (ratio exactly 1),
-    which still divides exactly since the series degenerates to 1.
-    """
+    """Smallest scaler of the layout above with y/value in [1/2, 1)."""
     if y < 2:
         raise ValueError("scaler requires y >= 2")
-    if y == 2:
-        return Scaler(0, 1, 2)
     moduli = base.moduli
     j, prefix = 0, 1
     while j < len(moduli) and prefix * moduli[j] <= y:

@@ -72,7 +72,7 @@ class AttemptsExhaustedError(CrrError):
         self.n2_bound = n2_bound
         super().__init__(
             f"no coprime linear forms after {attempts} attempts "
-            f"(coefficient bound {n2_bound})"
+            f"(coefficient bound {excerpt_int(n2_bound)})"
         )
 
 

@@ -18,7 +18,7 @@ import threading
 from array import array
 from functools import cached_property, lru_cache
 
-from .errors import PrimeLimitError, excerpt_int, int_repr
+from .errors import PrimeLimitError, excerpt, excerpt_int, int_repr
 
 __all__ = [
     "PRIME_INDEX_CEILING",
@@ -81,8 +81,16 @@ def nth_prime(index: int) -> int:
 def _require_int(value, what: str) -> int:
     """value as a plain int; TypeError naming it unless it is an int (not bool)."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{what} {value!r} is not an int")
+        raise TypeError(f"{what} {excerpt(repr(value), str)} is not an int")
     return operator.index(value)
+
+
+def require_positive(value, what: str) -> int:
+    """:func:`_require_int`, then ValueError unless it is at least 1; not in __all__."""
+    value = _require_int(value, what)
+    if value < 1:
+        raise ValueError(f"{what} must be positive")
+    return value
 
 
 class ModuliBase:
@@ -262,9 +270,7 @@ def pairwise_coprime(moduli) -> bool:
 @lru_cache(maxsize=64, typed=True)
 def prime_base(count: int) -> ModuliBase:
     """Base of ``count`` consecutive primes starting at 5 (skipping 2 and 3)."""
-    count = _require_int(count, "count")
-    if count < 1:
-        raise ValueError("count must be positive")
+    count = require_positive(count, "count")
     nth_prime(count + 2)  # checks the ceiling and sieves far enough
     return ModuliBase(tuple(_primes[2 : count + 2]))
 

@@ -41,8 +41,8 @@ import operator
 from itertools import islice, repeat, zip_longest
 from typing import NamedTuple
 
-from .errors import AttemptsExhaustedError, BaseMismatchError
-from .moduli import ModuliBase, _require_int
+from .errors import AttemptsExhaustedError, BaseMismatchError, excerpt_int
+from .moduli import ModuliBase, pairwise_coprime, require_positive
 from .vectors import CrrVector
 
 __all__ = [
@@ -61,9 +61,8 @@ __all__ = [
 
 
 def _not_invertible(a: int, m: int) -> ValueError:
-    return ValueError(
-        f"{a} has no inverse modulo {m}: both are divisible by {math.gcd(a, m)}"
-    )
+    a, m, shared = map(excerpt_int, (a, m, math.gcd(a, m)))
+    return ValueError(f"{a} has no inverse modulo {m}: both are divisible by {shared}")
 
 
 def _first_shared_factor(values, moduli) -> tuple[int, int]:
@@ -250,12 +249,8 @@ def check_form_bounds(base: ModuliBase, n2_bound: int | None, max_attempts: int)
     """
     if n2_bound is None:
         n2_bound = default_n2_bound(base)
-    _require_int(n2_bound, "n2_bound")
-    if n2_bound < 1:
-        raise ValueError("n2_bound must be positive")
-    _require_int(max_attempts, "max_attempts")
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be positive")
+    require_positive(n2_bound, "n2_bound")
+    require_positive(max_attempts, "max_attempts")
     if n2_bound < 2 and len(base.moduli) > 1:
         raise ValueError(
             "n2_bound must be at least 2 for more than one modulus: "
@@ -332,11 +327,16 @@ def probabilistic_reconstruct(
     sums S and T are coprime, one Bezout pair u*S + v*T == 1 gives the value:
     (u*s_i + v*t_i) * product / m_i is 1 mod m_i, so x is u * sum(x_i * s_i *
     product / m_i) + v * sum(x_i * t_i * product / m_i), mod the product.
+
+    Once every attempt fails: ValueError if the moduli share a factor, which
+    divides every cofactor and so every form; else AttemptsExhaustedError.
     """
     base = vector.base
     n2_bound = check_form_bounds(base, n2_bound, max_attempts)
     found = _first_coprime_draw(base, rng, n2_bound, max_attempts)
     if found is None:
+        if not pairwise_coprime(base):
+            raise ValueError("moduli share a factor, which divides every linear form")
         raise AttemptsExhaustedError(max_attempts, n2_bound)
     attempt, s, t, form_s, form_t = found
     u, v = _bezout_pair(form_s, form_t)
@@ -361,18 +361,24 @@ def probabilistic_reconstruct(
 
 
 def coprime_form_stats(
-    base: ModuliBase, rngs, n2_bound: int | None = None, max_attempts: int = 64
+    base: ModuliBase,
+    rng,
+    trials: int,
+    n2_bound: int | None = None,
+    max_attempts: int = 64,
 ) -> tuple[int, int, int]:
-    """One coprime-form trial per generator in ``rngs``.
+    """``trials`` coprime-form trials in turn, all drawn from ``rng``.
 
     Each trial draws form pairs as :func:`probabilistic_reconstruct` does,
-    until their sums are coprime.  The bounds are checked once, before the
-    first draw.  Returns (first-draw hits, total attempts, exhausted trials);
-    an exhausted trial counts ``max_attempts`` attempts.
+    until their sums are coprime.  The bounds and ``trials``, an int of at
+    least 1, are checked once, before the first draw.  Returns (first-draw
+    hits, total attempts, exhausted trials); an exhausted trial counts
+    ``max_attempts`` attempts.
     """
     n2_bound = check_form_bounds(base, n2_bound, max_attempts)
+    require_positive(trials, "trials")
     hits = attempts_total = exhausted = 0
-    for rng in rngs:
+    for _ in range(trials):
         found = _first_coprime_draw(base, rng, n2_bound, max_attempts)
         if found is None:
             exhausted += 1

@@ -22,7 +22,7 @@ import re
 import sys
 from typing import NoReturn
 
-from .errors import BaseMismatchError, ParseError, excerpt, int_repr
+from .errors import BaseMismatchError, ParseError, excerpt, excerpt_int, int_repr
 from .moduli import ModuliBase, _require_int
 
 __all__ = [
@@ -59,7 +59,9 @@ class CrrVector:
             if type(x) is not int:
                 x, plain = _require_int(x, "residue"), False
             if not 0 <= x < m:
-                raise ValueError(f"residue {x} out of range for modulus {m}")
+                raise ValueError(
+                    f"residue {excerpt_int(x)} out of range for modulus {excerpt_int(m)}"
+                )
         if not plain:
             residues = tuple(map(operator.index, residues))
         object.__setattr__(self, "base", base)

@@ -30,6 +30,16 @@ from crrkit import (
 BASES_SEED = 20260815
 
 
+def shown_int(value: int) -> str:
+    """How a message quotes an int: in full up to 40 digits, else its first 20
+    digits and its length, and "of N bits" past the int <-> str digit limit."""
+    try:
+        text = str(value)
+    except ValueError:
+        return f"of {value.bit_length()} bits"
+    return text if len(text) <= 40 else f"{text[:20]}... ({len(text)} chars)"
+
+
 def run_python(*args):
     """Run a fresh interpreter on the crrkit sources under test: (code, out, err)."""
     src = str(Path(crrkit.__file__).resolve().parents[1])
@@ -180,8 +190,6 @@ def bisect_scaler(y: int, prefix: tuple[int, ...]) -> Scaler:
 
     ``prefix[j]`` is the product of the first j moduli of the base.
     """
-    if y == 2:
-        return Scaler(0, 1, 2)
     j = bisect_right(prefix, y) - 1
     if j >= len(prefix) - 1:
         raise ValueError("moduli base too short to bracket the divisor")

@@ -19,6 +19,7 @@ from crrkit import (
     MAX_DIVISION_BITS,
     CrrError,
     cli,
+    coprime_form_stats,
     division,
     encode,
     format_base_line,
@@ -565,27 +566,41 @@ def test_prob_stats_output(capsys):
     assert rows[7] == "reference 0.607927"
 
 
+def _library_prob_stats_rows(r, trials, seed, max_attempts=64):
+    """The figure rows prob-stats prints, from the library on one generator."""
+    hits, attempts, exhausted = coprime_form_stats(
+        prime_base(r), random.Random(seed), trials, max_attempts=max_attempts
+    )
+    return [
+        f"coprime_fraction {hits / trials:.6f}",
+        f"mean_attempts {attempts / trials:.6f}",
+        f"exhausted {exhausted}",
+    ]
+
+
 def test_prob_stats_deterministic(capsys):
     argv = ["prob-stats", "--r", "6", "--trials", "120", "--seed", "11"]
     first = run(capsys, *argv)
     assert first == run(capsys, *argv)
-    # pinned: a change to the per-trial sub-seeds changes these figures
+    # pinned: a change to how the trials draw from the seed changes these figures
     assert first == (
         0,
         "r 6\ntrials 120\nseed 11\nn2_bound 65536\n"
-        "coprime_fraction 0.608333\nmean_attempts 1.633333\nexhausted 0\n"
+        "coprime_fraction 0.625000\nmean_attempts 1.625000\nexhausted 0\n"
         "reference 0.607927\n",
         "",
     )
+    assert lines_of(first[1])[4:7] == _library_prob_stats_rows(6, 120, 11)
 
 
 def test_prob_stats_reports_exhausted_trials(capsys):
-    # two attempts per trial leave 38 of the 300 trials without a coprime pair
+    # two attempts per trial leave 50 of the 300 trials without a coprime pair
     argv = ("prob-stats", "--r", "64", "--trials", "300", "--seed", "3")
     code, out, err = run(capsys, *argv, "--max-attempts", "2")
     assert (code, err) == (0, "")
     rows = lines_of(out)
-    assert rows[5:7] == ["mean_attempts 1.396667", "exhausted 38"]
+    assert rows[5:7] == ["mean_attempts 1.373333", "exhausted 50"]
+    assert rows[4:7] == _library_prob_stats_rows(64, 300, 3, max_attempts=2)
 
 
 def test_prob_stats_rejects_bad_r(capsys):
@@ -713,6 +728,23 @@ def test_over_long_token_gets_a_short_message(
     *usage, message = err.splitlines()
     assert all(line.startswith(("usage: crrkit ", "     ")) for line in usage)
     assert 0 < len(message) < 300
+
+
+def test_long_bound_inside_the_digit_limit_gets_a_short_message(capsys, tmp_path):
+    # 4,000 digits pass argparse (the limit is 4,300), so the decode runs and
+    # its one attempt fails; the error quotes the bound cut to 20 digits
+    path = tmp_path / "v.crr"
+    encoded = run(capsys, "encode", "--value", "23", "--count", "3", "--out", str(path))
+    assert encoded[0] == 0
+    nines = "9" * 4000
+    argv = ("decode", "--in", str(path), "--method", "prob", "--seed", "0")
+    code, out, err = run(capsys, *argv, "--n2-bound", nines, "--max-attempts", "1")
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: no coprime linear forms after 1 attempts "
+        f"(coefficient bound {'9' * 20}... (4000 chars))\n"
+    )
+    assert len(err) < 300
 
 
 # --- check-bound ---
@@ -880,14 +912,21 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_import_builds_no_parser_and_loads_no_openssl():
-    # hashlib loads OpenSSL (about 4 MiB resident); only prob-stats needs it.
-    # dataclasses would pull in inspect, ast, dis and tokenize at every start.
+    # hashlib loads OpenSSL (about 4 MiB resident), which no command needs,
+    # prob-stats included.  dataclasses would pull in inspect, ast, dis and
+    # tokenize at every start.
     code = (
         "import sys, crrkit.cli as cli; "
         "print(cli.build_parser.cache_info().currsize, "
-        "*(name in sys.modules for name in ('hashlib', 'dataclasses', 'inspect')))"
+        "*(name in sys.modules for name in ('hashlib', 'dataclasses', 'inspect'))); "
+        "code = cli.main(['prob-stats', '--r', '6', '--trials', '20']); "
+        "print(code, 'hashlib' in sys.modules)"
     )
-    assert run_python("-c", code) == (0, "0 False False False\n", "")
+    exit_code, out, err = run_python("-c", code)
+    rows = lines_of(out)
+    assert (exit_code, err, rows[0], rows[1], rows[-1]) == (
+        0, "", "0 False False False", "r 6", "0 False"
+    )
 
 
 def test_encode_and_decode_never_import_division(tmp_path):

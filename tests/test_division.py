@@ -142,7 +142,7 @@ def test_build_scaler_examples():
     assert build_scaler(100, base) == Scaler(2, 2, 140)
     assert Fraction(1, 2) <= Fraction(100, 140) < 1
     assert build_scaler(3, base) == Scaler(0, 2, 4)
-    assert build_scaler(2, base) == Scaler(0, 1, 2)
+    assert build_scaler(2, base) == Scaler(0, 2, 4)
     assert build_scaler(5, base) == Scaler(1, 1, 10)
 
 
@@ -151,7 +151,7 @@ def test_build_scaler_window_property():
     prefix = prefix_products(base.moduli)
     rng = random.Random(50)
     for _ in range(300):
-        y = rng.randint(3, (1 << 32) - 1)
+        y = rng.randint(2, (1 << 32) - 1)
         scaler = build_scaler(y, base)
         assert y < scaler.value <= 2 * y
         assert scaler.value == (1 << scaler.pow2) * prefix[scaler.prefix_len]
@@ -364,25 +364,12 @@ def test_divide_fast_paths():
     assert result.quotient == 200 and result.plan is None
 
 
-def test_divide_by_two_uses_degenerate_scaler():
-    for x in (0, 1, 2, 3, 100, 255):
+def test_divide_by_two_goes_through_the_general_scaler():
+    # 2 takes the scaler 4 = 2**2 * 1 of the window, like any other divisor
+    for x in (1, 2, 3, 100, 201, 255):
         result = divide(x, 2, 8, "adaptive")
         assert result.quotient == x // 2
-        if x > 0:
-            assert result.plan.scaler == Scaler(0, 1, 2)
-            assert result.correction_applied is False
-            assert set(result.plan.numerators) == {0}
-
-
-def test_divide_by_two_general_scaler_also_works():
-    # same quotients through the non-degenerate scaler 4 = 2**2 * 1
-    _, _, groups = _static_parts(8, "adaptive")
-    numerators = series_numerators(2, 4, groups)
-    num, den = _series_from(numerators, groups)
-    for x in (1, 2, 3, 100, 201, 255):
-        candidate = x * num // (den * 4)
-        q = candidate if candidate * 2 <= x < (candidate + 1) * 2 else candidate + 1
-        assert q == x // 2
+        assert result.plan.scaler == Scaler(0, 2, 4)
 
 
 def test_divide_correction_branch_fires_on_exact_multiples():

@@ -35,6 +35,7 @@ from _support import (
     reference_encode,
     reference_forms,
     reference_probabilistic_reconstruct,
+    shown_int,
 )
 
 
@@ -104,7 +105,7 @@ def test_cofactor_sum_gives_the_classical_cofactors_on_any_base(moduli):
         return
     cofactor, m = shared[0]
     message = (
-        f"{cofactor} has no inverse modulo {m}: "
+        f"{shown_int(cofactor)} has no inverse modulo {m}: "
         f"both are divisible by {math.gcd(cofactor, m)}"
     )
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -1,8 +1,10 @@
 """Reconstruction routes: the extended-gcd oracle, coefficient builders, random forms."""
 
 import builtins
+import itertools
 import math
 import random
+import re
 import sys
 import time
 import tracemalloc
@@ -40,6 +42,7 @@ from _support import (
     reference_garner_inverses,
     reference_probabilistic_reconstruct,
     reference_sequential_weights,
+    shown_int,
 )
 
 BASE_357 = ModuliBase.from_moduli([3, 5, 7])
@@ -94,7 +97,8 @@ def test_bezout_pair_matches_extended_gcd():
 @example(3**40, 2**64)
 def test_bezout_pair_inverts_modulo_the_smaller_argument(a, b):
     if math.gcd(a, b) != 1:
-        with pytest.raises(ValueError, match=f"^{b} has no inverse modulo {a}:"):
+        named = f"{shown_int(b)} has no inverse modulo {shown_int(a)}:"
+        with pytest.raises(ValueError, match=f"^{re.escape(named)}"):
             _bezout_pair(a, b)
         return
     assert (1, *_bezout_pair(a, b)) == extended_gcd(a, b)
@@ -381,7 +385,8 @@ def _reference_failures(moduli) -> tuple[str, str]:
     product = math.prod(moduli)
 
     def message(a, m):
-        return f"{a} has no inverse modulo {m}: both are divisible by {math.gcd(a, m)}"
+        a, m, shared = map(shown_int, (a, m, math.gcd(a, m)))
+        return f"{a} has no inverse modulo {m}: both are divisible by {shared}"
 
     classical = next(
         message(product // m, m) for m in moduli if math.gcd(product // m, m) > 1
@@ -557,6 +562,59 @@ def test_probabilistic_exhaustion():
     assert info.value.attempts == 5
 
 
+def test_prob_route_on_a_shared_factor_base_says_so(monkeypatch):
+    # 2 divides 6 and 10 and so every cofactor: no two forms are ever coprime
+    vector = encode(17, ModuliBase((6, 35, 11, 10)))
+    rng, oracle = random.Random(1), random.Random(1)
+    with pytest.raises(ValueError, match="^moduli share a factor"):
+        probabilistic_reconstruct(vector, rng)
+    # it spent all 64 attempts before it looked at the base
+    with pytest.raises(AttemptsExhaustedError):
+        reference_probabilistic_reconstruct(vector, oracle)
+    assert rng.getstate() == oracle.getstate()
+    # a successful decode never checks the base
+    checked = []
+    module = sys.modules["crrkit.reconstruct"]
+    monkeypatch.setattr(module, "pairwise_coprime", checked.append)
+    probabilistic_reconstruct(encode(17, prime_base(4)), random.Random(1))
+    assert checked == []
+
+
+# --- messages that quote an int of up to, or one past, the int <-> str limit ---
+
+LIMIT = sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize("digits", [LIMIT - 300, LIMIT, LIMIT + 1])
+def test_exhaustion_with_a_huge_bound_keeps_its_type_and_a_short_message(digits):
+    bound = 10**digits - 1
+    # every coefficient is 1, so the two forms are equal and never coprime
+    with pytest.raises(AttemptsExhaustedError) as info:
+        probabilistic_reconstruct(encode(5, prime_base(3)), _ConstantRng(0), bound, 1)
+    assert str(info.value) == (
+        "no coprime linear forms after 1 attempts "
+        f"(coefficient bound {shown_int(bound)})"
+    )
+    assert len(str(info.value)) < 100
+
+
+@pytest.mark.parametrize("digits", [LIMIT, LIMIT + 1])
+@pytest.mark.parametrize(
+    "route, message",
+    [
+        (classical_coefficients, "6 has no inverse modulo {}"),
+        (sequential_coefficients, "{} has no inverse modulo 6"),
+    ],
+)
+def test_shared_factor_message_of_a_huge_modulus_is_short(digits, route, message):
+    huge = 2 * 10 ** (digits - 1)  # even, like 6, and of ``digits`` digits
+    with pytest.raises(ValueError) as info:
+        route(ModuliBase((huge, 6)))
+    expected = message.format(shown_int(huge))
+    assert str(info.value) == f"{expected}: both are divisible by 2"
+    assert len(str(info.value)) < 100
+
+
 # with one modulus the cofactor is 1, so each form is its own coefficient and
 # n2_bound 1 or 3 makes forms equal to 1
 @pytest.mark.parametrize(
@@ -597,13 +655,14 @@ def test_probabilistic_matches_reference_on_coprime_bases():
 def test_default_bound_is_resolved_in_one_step(r):
     base = prime_base(r)
     bound = default_n2_bound(base)
-    rngs = [random.Random(46)] * 50
-    explicit = [random.Random(46)] * 50
-    assert coprime_form_stats(base, rngs) == coprime_form_stats(base, explicit, bound)
-    assert coprime_form_stats(base, rngs, max_attempts=1) == coprime_form_stats(
-        base, explicit, bound, 1
+    rng, explicit = random.Random(46), random.Random(46)
+    assert coprime_form_stats(base, rng, 50) == coprime_form_stats(
+        base, explicit, 50, bound
     )
-    assert rngs[0].getstate() == explicit[0].getstate()
+    assert coprime_form_stats(base, rng, 50, max_attempts=1) == coprime_form_stats(
+        base, explicit, 50, bound, 1
+    )
+    assert rng.getstate() == explicit.getstate()
     vector = encode(base.product // 3, base)
     got_rng, oracle = random.Random(47), random.Random(47)
     got = probabilistic_reconstruct(vector, got_rng)
@@ -646,7 +705,7 @@ def test_shared_generator_is_left_where_randint_would_leave_it():
         assert got == reference_probabilistic_reconstruct(vector, oracle)
     # a coprime_form_stats run, then one more reconstruction, on one generator;
     # max_attempts 1 makes some trials exhausted
-    stats = coprime_form_stats(base, [rng] * 40, max_attempts=1)
+    stats = coprime_form_stats(base, rng, 40, max_attempts=1)
     hits = 0
     for _ in range(40):
         try:
@@ -660,10 +719,45 @@ def test_shared_generator_is_left_where_randint_would_leave_it():
     assert rng.getstate() == oracle.getstate()
 
 
+@pytest.mark.parametrize("r", [1, 2, 8, 64])
+def test_coprime_form_stats_runs_its_trials_in_turn_on_one_generator(r):
+    # the oracle: one reference reconstruction per trial, on the same generator
+    base = prime_base(r)
+    vector = encode(base.product - 1, base)
+    for trials, max_attempts, seed in itertools.product((1, 50), (1, 64), range(5)):
+        rng, oracle = random.Random(seed), random.Random(seed)
+        hits = attempts = exhausted = 0
+        for _ in range(trials):
+            try:
+                _, sample = reference_probabilistic_reconstruct(
+                    vector, oracle, max_attempts=max_attempts
+                )
+            except AttemptsExhaustedError:
+                exhausted += 1
+                attempts += max_attempts
+            else:
+                hits += sample.attempts == 1
+                attempts += sample.attempts
+        stats = coprime_form_stats(base, rng, trials, max_attempts=max_attempts)
+        assert stats == (hits, attempts, exhausted)
+        assert rng.getstate() == oracle.getstate()
+
+
+def test_coprime_form_stats_checks_trials_before_any_draw():
+    base = prime_base(4)
+    rng = random.Random(45)
+    state = rng.getstate()
+    for trials, named in ((3.0, "3.0"), (True, "True"), ("3", "'3'")):
+        with pytest.raises(TypeError, match=f"^trials {named} is not an int$"):
+            coprime_form_stats(base, rng, trials)
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="^trials must be positive$"):
+            coprime_form_stats(base, rng, trials)
+    assert rng.getstate() == state
+
+
 def test_coprime_form_attempt_statistics():
-    hits, total, exhausted = coprime_form_stats(
-        prime_base(16), [random.Random(43)] * 2000
-    )
+    hits, total, exhausted = coprime_form_stats(prime_base(16), random.Random(43), 2000)
     assert exhausted == 0
     assert 0.50 <= hits / 2000 <= 0.72
     assert total / 2000 < 2.0
@@ -671,24 +765,24 @@ def test_coprime_form_attempt_statistics():
 
 def test_coprime_form_attempts_rejects_bad_bounds():
     base = prime_base(4)
-    rngs = [random.Random(44)] * 3
+    rng = random.Random(44)
     with pytest.raises(ValueError, match="n2_bound"):
-        coprime_form_stats(base, rngs, n2_bound=0)
+        coprime_form_stats(base, rng, 3, n2_bound=0)
     with pytest.raises(ValueError, match="max_attempts"):
-        coprime_form_stats(base, rngs, max_attempts=0)
+        coprime_form_stats(base, rng, 3, max_attempts=0)
     # s == t for every draw: the forms are equal and never coprime
     with pytest.raises(ValueError, match="n2_bound must be at least 2"):
-        coprime_form_stats(base, rngs, n2_bound=1)
+        coprime_form_stats(base, rng, 3, n2_bound=1)
     with pytest.raises(ValueError, match="n2_bound must be at least 2"):
         probabilistic_reconstruct(encode(5, base), random.Random(44), n2_bound=1)
     for bound, named in ((70000.0, "70000.0"), (True, "True"), ("9", "'9'")):
         with pytest.raises(TypeError, match=f"^n2_bound {named} is not an int$"):
-            coprime_form_stats(base, rngs, n2_bound=bound)
+            coprime_form_stats(base, rng, 3, n2_bound=bound)
         with pytest.raises(TypeError, match=f"^n2_bound {named} is not an int$"):
             probabilistic_reconstruct(encode(5, base), random.Random(44), bound)
     for attempts, named in ((2.0, "2.0"), (True, "True"), ("2", "'2'")):
         with pytest.raises(TypeError, match=f"^max_attempts {named} is not an int$"):
-            coprime_form_stats(base, rngs, max_attempts=attempts)
+            coprime_form_stats(base, rng, 3, max_attempts=attempts)
         with pytest.raises(TypeError, match=f"^max_attempts {named} is not an int$"):
             probabilistic_reconstruct(
                 encode(5, base), random.Random(44), max_attempts=attempts

@@ -27,6 +27,7 @@ from _support import (
     random_coprime_base,
     reference_parse_base_tokens,
     reference_parse_res_tokens,
+    shown_int,
 )
 
 BASE_357 = ModuliBase.from_moduli([3, 5, 7])
@@ -368,6 +369,29 @@ def test_crr_vector_repr_past_the_digit_limit_shows_bits():
     assert repr(vector) == (
         f"CrrVector([{shown}, 3] over ModuliBase([<int of {bits} bits>, 7]))"
     )
+
+
+@pytest.mark.parametrize("digits", [LIMIT, LIMIT + 1])
+def test_out_of_range_residue_of_many_digits_gets_a_short_message(digits):
+    wide = 10 ** (digits - 1)  # ``digits`` digits
+    with pytest.raises(ValueError) as info:
+        CrrVector(BASE_5_7_11, (wide, 0, 0))
+    assert str(info.value) == f"residue {shown_int(wide)} out of range for modulus 5"
+    huge = ModuliBase([wide + 1, 7])
+    with pytest.raises(ValueError) as info:
+        CrrVector(huge, (wide + 1, 0))
+    shown = shown_int(wide + 1)
+    assert str(info.value) == f"residue {shown} out of range for modulus {shown}"
+    assert len(str(info.value)) < 120
+
+
+@pytest.mark.parametrize("length", [LIMIT, LIMIT + 1, 100_000])
+def test_non_int_value_of_many_characters_gets_a_short_message(length):
+    text = "7" * length
+    with pytest.raises(TypeError) as info:
+        encode(text, BASE_5_7_11)
+    shown = f"'{'7' * 19}... ({length + 2} chars)"  # the repr, quotes included
+    assert str(info.value) == f"value {shown} is not an int"
 
 
 def test_formatters_past_the_digit_limit_keep_the_interpreters_error():
