@@ -79,9 +79,17 @@ def nth_prime(index: int) -> int:
 
 
 def _require_int(value, what: str) -> int:
-    """value as a plain int; TypeError naming it unless it is an int (not bool)."""
+    """value as a plain int; TypeError naming it unless it is an int (not bool).
+
+    A value whose ``repr`` prints an int too long for ``str()``, such as
+    ``Fraction(10**5000)``, is shown by its type, as :func:`int_repr` does.
+    """
     if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{what} {excerpt(repr(value), str)} is not an int")
+        try:
+            shown = excerpt(repr(value), str)
+        except ValueError:
+            shown = f"<{type(value).__name__}>"
+        raise TypeError(f"{what} {shown} is not an int")
     return operator.index(value)
 
 

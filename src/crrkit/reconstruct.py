@@ -4,7 +4,8 @@ Four routes are provided:
 
 * classical inverse coefficients, one modular inverse per modulus;
 * a sequential chain of Bezout identities over growing prefix products,
-  one Bezout pair per modulus after the first;
+  one inversion per modulus after the first, walked one leaf of the
+  product tree at a time;
 * a Garner mixed-radix converter that makes every pairwise inverse, the
   quadratic-count baseline, and keeps one radix inverse per modulus;
 * a randomized route that draws integer linear forms over the cofactors
@@ -13,13 +14,13 @@ Four routes are provided:
 
 Every inversion is one C ``pow(a, -1, m)``, and one counted call is one
 such inversion; a Bezout pair is one inversion (see :func:`_bezout_pair`).
-The classical and sequential counts are read off what they built: one
-weight or one Bezout pair per inversion.  Garner's row j is one mapped
-``pow`` pass over the j moduli before m_j, which completes or raises, so its
-r rows make r(r-1)/2 inversions.  The random route's count is its
-``attempts``: one ``math.gcd`` screen per attempt, and only the coprime draw
-pays for its Bezout pair.  So the four compare directly: r, r - 1, r(r-1)/2,
-and one call per random attempt.
+The classical and sequential counts are read off the weights they built:
+one inversion per weight, less the chain's first, whose prefix is 1.
+Garner's row j is one mapped ``pow`` pass over the j moduli before m_j,
+which completes or raises, so its r rows make r(r-1)/2 inversions.  The
+random route's count is its ``attempts``: one ``math.gcd`` screen per
+attempt, and only the coprime draw pays for its Bezout pair.  So the four
+compare directly: r, r - 1, r(r-1)/2, and one call per random attempt.
 
 The classical weights and each row of Garner's inverses are one ``pow``
 mapped over the row in C.  Garner's converter costs r(r-1)/2 inversions,
@@ -38,7 +39,7 @@ Python 3.11.7).
 
 import math
 import operator
-from itertools import islice, repeat, zip_longest
+from itertools import accumulate, islice, repeat, zip_longest
 from typing import NamedTuple
 
 from .errors import AttemptsExhaustedError, BaseMismatchError, excerpt_int
@@ -102,51 +103,108 @@ def classical_coefficients(base: ModuliBase) -> CrtCoefficients:
     return CrtCoefficients(base, weights, len(weights))
 
 
-def sequential_coefficients(
-    base: ModuliBase,
-) -> tuple[CrtCoefficients, tuple[tuple[int, int], ...]]:
-    """Weights from a chain of Bezout identities: r - 1 counted calls.
+def sequential_coefficients(base: ModuliBase) -> CrtCoefficients:
+    """Weights from the chain of Bezout identities: r - 1 counted calls.
 
-    Step j pairs modulus j with prefix_j, the product of the moduli before
-    it: the returned pairs satisfy alpha_j*m_j + beta_j*prefix_j == 1, one
-    pair per modulus after the first.  The weight for position i is beta_i
-    times the product of the later alphas, mod m_i; :func:`chain_weights`
-    keeps that product exact.
+    Step j of the chain pairs m_j with P_j, the product of the moduli before
+    it, through alpha_j*m_j + beta_j*P_j == 1 (see :func:`chain_weights`).
+    The weight for position i is beta_i times the product of the later
+    alphas, mod m_i.  Only beta_j mod m_j, the inverse of P_j mod m_j, is
+    ever read, and the alphas only through the invariant below, so neither
+    the pairs nor any product of them is kept.
 
-    The back-walk never multiplies by an alpha.  On entering step i, with
-    m = m_i and P = prefix_i, ``suffix`` is congruent to the product of the
-    alphas after i modulo P*m.  The step takes w_i = beta_i*(suffix mod m)
-    mod m and divides suffix - w_i*P exactly by m: beta_i*P == 1 (mod m), so
-    m divides it, and alpha_i*m == 1 (mod P), so the quotient is congruent
-    to suffix*alpha_i modulo P, the invariant for step i - 1.  Only that
-    class is ever read, each weight modulo a modulus dividing the prefix, so
-    suffix may go negative; after step i its size is below r*P.
+    The chain is walked one leaf of the base's product tree at a time.  For
+    the leaf over the moduli at indices s to e - 1, let p be its product, P_s
+    the product of the moduli before it, and R_i = m_s * ... * m_i, with
+    R_{s-1} = 1.
+
+    Forward, per leaf: one remainder q = P_s mod p and one product P_s * p.
+    Then beta_j = (q * R_{j-1})^-1 mod m_j for each of the leaf's moduli, one
+    mapped ``pow``; index 0 has P_0 = 1, so beta_0 = 1 and makes no call.
+
+    Back, from the last leaf, A (``suffix``) is congruent to the product of
+    the alphas from index e on, modulo P_e.  A walk of one step per modulus
+    would go on from A_{e-1} = A by A_{i-1} = (A_i - w_i*P_i) / m_i, with
+    w_i = beta_i*(A_i mod m_i) mod m_i: beta_i*P_i == 1 (mod m_i) makes the
+    division exact, and alpha_i*m_i == 1 (mod P_i) keeps A_{i-1} congruent
+    to the product of the alphas after i - 1, modulo P_i.  Here the leaf
+    starts from x = A mod p, and for i from e - 1 down to s takes
+    w_i = beta_i*(x mod m_i) mod m_i and
+    x <- (x - w_i * R_{i-1} * (P_s mod m_i)) / m_i, also exact.  On entering
+    step i, x is congruent to A_i modulo R_i, so w_i is the same, and m_i
+    is prime to R_{i-1}, so the step keeps x congruent to A_{i-1} modulo
+    R_{i-1}.  Every number in these steps is leaf-sized.  Then
+    A <- (A - P_s * sum(w_i * p / m_i)) / p is A_{s-1}, the leaf's steps
+    taken at once, and exact; A may go negative and stays below r * P_s in
+    absolute value.
+
+    Cost: per leaf, the prefix-sized P_s meets the leaf-sized p in two
+    products and four divisions, where a walk per modulus made four or five
+    one-digit passes over the prefix for each of the leaf's 32 moduli.  So
+    the time still grows as the square of the product's bits, at a smaller
+    constant, plus leaf-sized work per modulus.  Memory is linear: r weights,
+    the prefix and one leaf-sized remainder per leaf.
     """
-    moduli = base.moduli
-    r = len(moduli)
+    tree = base._tree
+    # weights[j] holds beta_j until the back walk replaces it with w_j;
+    # beta_0 = 1 is the inverse of P_0 = 1, so the first leaf skips m_0
+    weights = [1]
+    remainders = []
     prefix = 1
-    pairs = []
-    for j in range(1, r):
-        prefix *= moduli[j - 1]
-        pairs.append(_bezout_pair(moduli[j], prefix))
-    weights = [0] * r
+    for chunk, p in zip(tree.chunks, tree.levels[0]):
+        q = prefix % p
+        runs = accumulate(chunk, operator.mul, initial=1)
+        values = [q % m * (run % m) % m for m, run in zip(chunk, runs)]
+        skip = 0 if remainders else 1
+        try:
+            weights += map(pow, values[skip:], repeat(-1), chunk[skip:])
+        except ValueError:
+            # the first P_j sharing a factor with m_j, as the chain would name
+            j = next(j for j, m in enumerate(chunk) if math.gcd(values[j], m) != 1)
+            raise _not_invertible(prefix * math.prod(chunk[:j]), chunk[j]) from None
+        remainders.append(q)
+        prefix *= p
     suffix = 1
-    # prefix is prefix_i on each step, walked back by exact division
-    for i in range(r - 1, 0, -1):
-        m = moduli[i]
-        w = weights[i] = pairs[i - 1][1] * (suffix % m) % m
-        suffix = (suffix - w * prefix) // m
-        prefix //= moduli[i - 1]
-    weights[0] = suffix % moduli[0]
-    return CrtCoefficients(base, tuple(weights), len(pairs)), tuple(pairs)
+    e = len(weights)
+    for chunk, p, q, cofactors in zip(
+        reversed(tree.chunks),
+        reversed(tree.levels[0]),
+        reversed(remainders),
+        reversed(tree.chunk_cofactors),
+    ):
+        s = e - len(chunk)
+        prefix //= p
+        x = suffix % p
+        runs = list(accumulate(chunk, operator.mul, initial=1))
+        for i in range(len(chunk) - 1, -1, -1):
+            m = chunk[i]
+            w = weights[s + i] = weights[s + i] * (x % m) % m
+            x = (x - w * runs[i] * (q % m)) // m
+        if s:
+            total = sum(map(operator.mul, weights[s:e], cofactors))
+            suffix, rest = divmod(suffix - prefix * total, p)
+            if rest:
+                raise RuntimeError("inexact division in the sequential back walk")
+        e = s
+    return CrtCoefficients(base, tuple(weights), len(weights) - 1)
 
 
-def chain_weights(pairs) -> tuple[int, ...]:
+def chain_weights(base: ModuliBase) -> tuple[int, ...]:
     """The chain's unreduced weights: beta_i times every later alpha.
 
-    They satisfy the telescoping identity sum(w_i * product / m_i) == 1
-    exactly, and reduce mod m_i to the sequential (and classical) weights.
+    The Bezout pairs (alpha_j, beta_j) of the chain, alpha_j*m_j +
+    beta_j*P_j == 1 for P_j the product of the moduli before m_j, come from
+    :func:`_bezout_pair` over the running prefix, one per modulus after the
+    first.  The weights satisfy the telescoping identity
+    sum(w_i * product / m_i) == 1 exactly, and reduce mod m_i to the
+    sequential (and classical) weights.  Weight i carries the product of the
+    later alphas, each about as wide as its prefix, so it has O(r^2) words
+    and the tuple O(r^3): this serves the identity's checks on small bases,
+    not decoding.
     """
+    moduli = base.moduli
+    prefixes = accumulate(moduli[:-1], operator.mul)
+    pairs = list(map(_bezout_pair, moduli[1:], prefixes))
     weights = []
     suffix = 1
     for alpha, beta in reversed(pairs):
@@ -296,6 +354,10 @@ def _first_coprime_draw(base: ModuliBase, rng, n2_bound: int, max_attempts: int)
 
 def _bezout_pair(a: int, b: int) -> tuple[int, int]:
     """The pair (u, v) that extended Euclid returns for coprime a, b >= 1.
+
+    The random route takes one for its two forms, and :func:`chain_weights`
+    one per step of the chain; :func:`sequential_coefficients` needs only the
+    chain's v mod a, so it inverts without building the pairs.
 
     u is the inverse of a mod b taken in (-b/2, b/2], and v follows from
     u*a + v*b == 1.  Euclid's own coefficients satisfy |u| <= b/2 (Knuth,

@@ -24,6 +24,7 @@ from crrkit import (
     default_n2_bound,
     nth_prime,
 )
+from crrkit.reconstruct import _bezout_pair
 
 # Criteria on random coprime bases share this seed so the same 100 bases are
 # exercised by every check that claims to run over "the same" population.
@@ -228,10 +229,20 @@ def reference_classical_weights(base: ModuliBase) -> tuple[int, ...]:
     return tuple(weights)
 
 
-def reference_sequential_weights(base: ModuliBase, pairs) -> tuple[int, ...]:
+def reference_chain_pairs(base: ModuliBase) -> tuple[tuple[int, int], ...]:
+    """The chain's Bezout pairs (alpha_j, beta_j), alpha_j*m_j + beta_j*P_j == 1
+    for P_j the product of the moduli before m_j, by extended Euclid."""
+    prefix = prefix_products(base.moduli)
+    return tuple(
+        tuple(extended_gcd(m, prefix[j])[1:]) for j, m in enumerate(base.moduli) if j
+    )
+
+
+def reference_sequential_weights(base: ModuliBase) -> tuple[int, ...]:
     """The chain's weights by the wide back-walk: the running product of
     alphas is multiplied in and reduced modulo the prefix product at each step.
     """
+    pairs = reference_chain_pairs(base)
     moduli = base.moduli
     r = len(moduli)
     prefix = math.prod(moduli[:-1])
@@ -242,6 +253,35 @@ def reference_sequential_weights(base: ModuliBase, pairs) -> tuple[int, ...]:
         alpha, beta = pairs[i - 1]
         weights[i] = beta * suffix % moduli[i]
         suffix = suffix * alpha % prefix
+        prefix //= moduli[i - 1]
+    weights[0] = suffix % moduli[0]
+    return tuple(weights)
+
+
+def word_walk_sequential_weights(base: ModuliBase) -> tuple[int, ...]:
+    """The chain's weights by one word-size back-step per modulus.
+
+    One Bezout pair of m_j and the running prefix per modulus after the
+    first, then the back-walk: on entering step i, ``suffix`` is congruent to
+    the product of the alphas after i modulo P_i*m_i, and the step takes
+    w_i = beta_i*(suffix mod m_i) mod m_i and divides suffix - w_i*P_i
+    exactly by m_i.  Raises the ValueError of the first pair whose two sides
+    share a factor.
+    """
+    moduli = base.moduli
+    r = len(moduli)
+    prefix = 1
+    pairs = []
+    for j in range(1, r):
+        prefix *= moduli[j - 1]
+        pairs.append(_bezout_pair(moduli[j], prefix))
+    weights = [0] * r
+    suffix = 1
+    # prefix is prefix_i on each step, walked back by exact division
+    for i in range(r - 1, 0, -1):
+        m = moduli[i]
+        w = weights[i] = pairs[i - 1][1] * (suffix % m) % m
+        suffix = (suffix - w * prefix) // m
         prefix //= moduli[i - 1]
     weights[0] = suffix % moduli[0]
     return tuple(weights)

@@ -54,7 +54,7 @@ def test_criterion_03_sequential_matches_classical():
         rng = random.Random(BASES_SEED + 3)
         for _ in range(100):
             base = random_coprime_base(rng)
-            sequential, _ = sequential_coefficients(base)
+            sequential = sequential_coefficients(base)
             assert sequential.weights == classical_coefficients(base).weights
 
 

@@ -366,7 +366,7 @@ def test_decode_garner_above_the_budget_fails_before_any_inversion(
             "sequential",
             "sequential_coefficients",
             cli.SEQUENTIAL_MAX_MODULI,
-            "its r - 1 Bezout pairs keep O(r^2) bits",
+            "its chain over the prefix products grows quadratically",
         ),
         (
             "prob",

@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -12,6 +14,7 @@ from crrkit import (
     ModuliBase,
     ParseError,
     PrimeLimitError,
+    encode,
     format_base_line,
     nth_prime,
     pairwise_coprime,
@@ -227,6 +230,31 @@ def test_from_moduli_rejects_non_int(moduli, named):
     for build in (ModuliBase, ModuliBase.from_moduli):
         with pytest.raises(TypeError, match=f"^modulus {named} is not an int$"):
             build(moduli)
+
+
+LIMIT = sys.get_int_max_str_digits()
+
+
+# Fraction(10**k) prints k + 1 digits in its repr: LIMIT digits still print,
+# LIMIT + 1 raise the interpreter's ValueError, and the type is shown instead
+@pytest.mark.parametrize(
+    "value, shown",
+    [
+        (Fraction(10 ** (LIMIT - 1)), f"Fraction(10000000000... ({LIMIT + 13} chars)"),
+        (Fraction(10**LIMIT), "<Fraction>"),
+    ],
+    ids=["inside", "past"],
+)
+def test_non_int_past_the_digit_limit_keeps_its_type_error(value, shown):
+    for call, what in (
+        (lambda: encode(value, prime_base(3)), "value"),
+        (lambda: prime_base(value), "count"),
+        (lambda: ModuliBase([value]), "modulus"),
+        (lambda: ModuliBase.from_moduli([5, value]), "modulus"),
+    ):
+        with pytest.raises(TypeError) as info:
+            call()
+        assert str(info.value) == f"{what} {shown} is not an int"
 
 
 def test_base_line_example():

@@ -36,6 +36,7 @@ from _support import (
     extended_gcd,
     prefix_products,
     random_coprime_base,
+    reference_chain_pairs,
     reference_classical_weights,
     reference_draw,
     reference_garner_decode,
@@ -43,6 +44,7 @@ from _support import (
     reference_probabilistic_reconstruct,
     reference_sequential_weights,
     shown_int,
+    word_walk_sequential_weights,
 )
 
 BASE_357 = ModuliBase.from_moduli([3, 5, 7])
@@ -137,44 +139,47 @@ def test_classical_weight_identities():
 
 def test_sequential_frozen_example():
     base = ModuliBase.from_moduli([3, 5])
-    coeffs, pairs = sequential_coefficients(base)
+    coeffs = sequential_coefficients(base)
     assert coeffs.weights == (2, 2)
     assert coeffs.egcd_calls == 1
-    (alpha, beta), = pairs
+    alpha, beta = _bezout_pair(5, 3)
+    assert (alpha, beta) == (-1, 2)
     assert alpha * 5 + beta * 3 == 1
+    assert chain_weights(base) == (alpha, beta)
 
 
 def test_sequential_single_modulus():
-    coeffs, pairs = sequential_coefficients(ModuliBase.from_moduli([5]))
+    base = ModuliBase.from_moduli([5])
+    coeffs = sequential_coefficients(base)
     assert coeffs.weights == (1,)
     assert coeffs.egcd_calls == 0
-    assert pairs == ()
+    assert chain_weights(base) == (1,)
 
 
 def test_sequential_call_count_is_r_minus_one():
     for r in (1, 2, 8, 33):
-        coeffs, _ = sequential_coefficients(prime_base(r))
+        coeffs = sequential_coefficients(prime_base(r))
         assert coeffs.egcd_calls == r - 1
 
 
 def test_chain_pair_identities():
-    # each pow-derived pair is extended Euclid's own pair, step by step
+    # each pow-derived pair of the chain is extended Euclid's own pair
     rng = random.Random(32)
     bases = [random_coprime_base(rng) for _ in range(100)]
     for base in bases + [prime_base(192)]:
-        _, pairs = sequential_coefficients(base)
         prefix = prefix_products(base.moduli)
+        pairs = reference_chain_pairs(base)
         assert len(pairs) == len(base.moduli) - 1
         for j, (alpha, beta) in enumerate(pairs, start=1):
             assert alpha * base.moduli[j] + beta * prefix[j] == 1
-            assert (1, alpha, beta) == extended_gcd(base.moduli[j], prefix[j]), (base, j)
+            assert _bezout_pair(base.moduli[j], prefix[j]) == (alpha, beta), (base, j)
 
 
 def test_sequential_agrees_with_classical():
     rng = random.Random(33)
     for _ in range(30):
         base = random_coprime_base(rng, max_len=24)
-        seq, _ = sequential_coefficients(base)
+        seq = sequential_coefficients(base)
         assert seq.weights == classical_coefficients(base).weights
 
 
@@ -182,19 +187,18 @@ def test_telescoping_identity_exact():
     rng = random.Random(34)
     for max_len in (4, 16, 64):
         base = random_coprime_base(rng, max_len=max_len)
-        _, pairs = sequential_coefficients(base)
-        weights = chain_weights(pairs)
+        weights = chain_weights(base)
         total = sum(w * (base.product // m) for w, m in zip(weights, base.moduli))
         assert total == 1
 
 
 def test_sequential_weights_reduce_chain_weights():
-    # the word-size back-walk must give the exact chain weights mod m_i
+    # the leaf-sized back-walk must give the exact chain weights mod m_i
     rng = random.Random(37)
     bases = [random_coprime_base(rng, max_len=64) for _ in range(20)]
     for base in bases + [prime_base(192)]:
-        coeffs, pairs = sequential_coefficients(base)
-        exact = chain_weights(pairs)
+        coeffs = sequential_coefficients(base)
+        exact = chain_weights(base)
         assert coeffs.weights == tuple(w % m for w, m in zip(exact, base.moduli))
 
 
@@ -225,32 +229,87 @@ def chain_bases(draw):
 
 
 # 2**64 + 1 = 274177 * 67280421310721, a composite modulus above 2**64; the
-# fixed r = 1024 example runs the oracle's wide walk for about 0.15 s
+# prime bases end just before, at and just after the product tree's leaf
+# boundaries (32 moduli a leaf); the Mersenne numbers 2**p - 1 of distinct primes p are
+# pairwise coprime and span two leaves of large moduli.  The fixed r = 1024
+# example runs the oracle's wide walk for about 0.15 s
+MERSENNE_BASE = ModuliBase.from_moduli([(1 << p) - 1 for p in CHAIN_PRIMES if p < 300])
+
+
 @settings(deadline=None)
 @given(chain_bases())
 @example(ModuliBase.from_moduli([(1 << 64) + 1]))
 @example(ModuliBase.from_moduli([(1 << 64) + 1, 3]))
 @example(ModuliBase.from_moduli([(1 << 64) + 1, 3**5, 35, 2, 11, 13]))
+@example(prime_base(1))
+@example(prime_base(2))
+@example(prime_base(31))
+@example(prime_base(32))
+@example(prime_base(33))
+@example(prime_base(63))
+@example(prime_base(64))
+@example(prime_base(65))
+@example(prime_base(97))
+@example(MERSENNE_BASE)
 @example(prime_base(1024))
 def test_sequential_walk_matches_the_wide_walk(base):
-    coeffs, pairs = sequential_coefficients(base)
-    assert coeffs.weights == reference_sequential_weights(base, pairs)
+    coeffs = sequential_coefficients(base)
+    assert coeffs.weights == reference_sequential_weights(base)
+    assert coeffs.weights == word_walk_sequential_weights(base)
     assert coeffs.weights == classical_coefficients(base).weights
-    prefix = prefix_products(base.moduli)
-    assert pairs == tuple(
-        extended_gcd(m, prefix[j])[1:] for j, m in enumerate(base.moduli) if j
-    )
     assert coeffs.egcd_calls == len(base.moduli) - 1
 
 
+def _share_factor_at(j: int, r: int = 97) -> ModuliBase:
+    """prime_base(r) with m_j multiplied by 5 = m_0, so that P_j is the first
+    prefix to share a factor with its modulus; unchecked."""
+    moduli = list(prime_base(r).moduli)
+    moduli[j] *= 5
+    return ModuliBase(moduli)
+
+
+# leaves of 32 moduli: j = 1 and 31 in the first, 32 and 45 in a middle one,
+# 96 alone in the last
+@pytest.mark.parametrize("j", [1, 31, 32, 45, 96])
+def test_sequential_names_the_first_shared_factor_as_the_chain_does(j):
+    base = _share_factor_at(j)
+    with pytest.raises(ValueError) as expected:
+        word_walk_sequential_weights(base)
+    with pytest.raises(ValueError) as got:
+        sequential_coefficients(base)
+    assert str(got.value) == str(expected.value)
+    assert str(got.value).endswith(f"modulo {base.moduli[j]}: both are divisible by 5")
+
+
 def test_sequential_walk_stays_word_sized_at_r_4096():
-    # on a 2-vCPU VM the word-size step takes about 0.4 s here, and the wide
-    # walk of the oracle about 11 s
+    # on a 2-vCPU VM the leaf-by-leaf walk takes about 0.03 s here, and the
+    # wide walk of the oracle about 11 s
     base = prime_base(4096)
     start = time.perf_counter()
-    coeffs, _ = sequential_coefficients(base)
+    coeffs = sequential_coefficients(base)
     assert time.perf_counter() - start < 4
     assert coeffs.egcd_calls == 4095
+
+
+def test_sequential_memory_is_linear_at_r_2048():
+    """The walk keeps r weights, the prefix and one remainder per leaf, about
+    0.1 MiB at r = 2048 on top of the base's product tree.  Keeping the
+    r - 1 Bezout pairs, O(r^2) bits, peaked at 3.3 MiB there."""
+    base = prime_base(2048)
+    base._tree  # the base's, built once and kept; not the route's
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        coeffs = sequential_coefficients(base)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert coeffs.egcd_calls == 2047
+    assert peak < 0.5 * 2**20
 
 
 # --- Garner baseline ---
@@ -336,7 +395,7 @@ def test_call_counts_equal_real_inversions(monkeypatch):
         calls.clear()
         assert classical_coefficients(base).egcd_calls == calls["pow"] == r
         calls.clear()
-        assert sequential_coefficients(base)[0].egcd_calls == calls["pow"] == r - 1
+        assert sequential_coefficients(base).egcd_calls == calls["pow"] == r - 1
         calls.clear()
         assert garner_converter(base).egcd_calls == calls["pow"] == r * (r - 1) // 2
         assert calls["gcd"] == 0
@@ -498,7 +557,7 @@ def test_round_trip_all_routes_random_bases():
     for _ in range(10):
         base = random_coprime_base(rng, max_len=12)
         classical = classical_coefficients(base)
-        sequential, _ = sequential_coefficients(base)
+        sequential = sequential_coefficients(base)
         garner = garner_converter(base)
         for _ in range(25):
             x = rng.randrange(base.product)
