@@ -22,11 +22,9 @@ _DIVISION_NAMES = frozenset(
         "Scaler",
         "adaptive_group_size",
         "build_plan",
-        "build_scaler",
         "divide",
         "group_bound_report",
         "group_size",
-        "series_numerators",
         "strict_moduli_count",
     }
 )

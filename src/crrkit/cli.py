@@ -32,7 +32,7 @@ from .reconstruct import (
     reconstruct,
     sequential_coefficients,
 )
-from .vectors import encode, parse, parse_base_line, serialize
+from .vectors import base_line_pieces, encode, parse, parse_base_line, serialize
 
 USAGE_EXIT = 2
 FAILURE_EXIT = 3
@@ -235,11 +235,7 @@ def _cmd_gen_base(args) -> int:
     # the line of format_base_line(prime_base(count)), written a chunk of
     # primes at a time: no base, and no str per prime, for the whole count
     chunks = prime_base_chunks(args.count)
-    pieces = itertools.chain(
-        [f"base {args.count}"],
-        (" " + " ".join(map(str, chunk)) for chunk in chunks),
-        ["\n"],
-    )
+    pieces = itertools.chain(base_line_pieces(args.count, chunks), ["\n"])
     if args.out:
         _write_file(args.out, pieces)
         print(f"out {args.out}")

@@ -20,7 +20,7 @@ and skip that check.
 import operator
 import re
 import sys
-from typing import NoReturn
+from typing import Iterator, NoReturn
 
 from .errors import BaseMismatchError, ParseError, excerpt, excerpt_int, int_repr
 from .moduli import ModuliBase, _require_int
@@ -160,8 +160,19 @@ def format_base_line(base: ModuliBase) -> str:
     A modulus past ``sys.get_int_max_str_digits()`` digits raises the
     interpreter's ``ValueError``, as ``str()`` does.
     """
-    mods = " ".join(map(str, base.moduli))
-    return f"base {len(base.moduli)} {mods}"
+    return "".join(base_line_pieces(len(base.moduli), [base.moduli]))
+
+
+def base_line_pieces(count: int, chunks) -> Iterator[str]:
+    """The base line of ``count`` moduli, without its newline, one piece per
+    non-empty chunk of moduli after the head; not in ``__all__``.
+
+    A writer takes the pieces in turn, so it never holds the decimals of more
+    than one chunk.
+    """
+    yield f"base {count}"
+    for chunk in chunks:
+        yield " " + " ".join(map(str, chunk))
 
 
 def parse_base_line(text: str) -> ModuliBase:

@@ -18,17 +18,21 @@ from crrkit import (
     Scaler,
     adaptive_group_size,
     build_plan,
-    build_scaler,
     divide,
     division,
     group_bound_report,
     group_size,
     nth_prime,
     prime_base,
-    series_numerators,
     strict_moduli_count,
 )
-from crrkit.division import _floor_div_log2, _series_from, _static_parts
+from crrkit.division import (
+    _floor_div_log2,
+    _series_from,
+    _static_parts,
+    build_scaler,
+    series_numerators,
+)
 from _support import (
     UnderApprox,
     bisect_scaler,

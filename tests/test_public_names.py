@@ -1,6 +1,7 @@
 """The package's public names: ``__all__`` lists each exactly once, and each resolves."""
 
 import ast
+import importlib
 import sys
 from collections import Counter
 from pathlib import Path
@@ -83,3 +84,90 @@ def test_conversions_never_import_division():
 )
 def test_fresh_import_binds_every_public_name(code):
     assert run_python("-c", code) == (0, "True\n", "")
+
+
+# The package's whole public surface.  A name is here only if the README
+# documents it, the paper defines it, or the benchmark reads it from the
+# package; helpers for tests and the selftest live in their modules.
+PUBLIC_NAMES = [
+    "AttemptsExhaustedError",
+    "BaseMismatchError",
+    "CrrError",
+    "CrrVector",
+    "CrtCoefficients",
+    "DivideResult",
+    "DivisionPlan",
+    "GarnerConverter",
+    "GroupBoundError",
+    "GroupBoundReport",
+    "LinearFormSample",
+    "MAX_DIVISION_BITS",
+    "ModuliBase",
+    "PRIME_INDEX_CEILING",
+    "ParseError",
+    "PrimeLimitError",
+    "Scaler",
+    "adaptive_group_size",
+    "build_plan",
+    "classical_coefficients",
+    "coprime_form_stats",
+    "default_n2_bound",
+    "divide",
+    "encode",
+    "format_base_line",
+    "garner_converter",
+    "group_bound_report",
+    "group_size",
+    "nth_prime",
+    "pairwise_coprime",
+    "parse",
+    "parse_base_line",
+    "prime_base",
+    "probabilistic_reconstruct",
+    "reconstruct",
+    "sequential_coefficients",
+    "serialize",
+    "strict_moduli_count",
+]
+
+
+def test_public_names_are_pinned():
+    assert len(PUBLIC_NAMES) == 38
+    assert crrkit.__all__ == PUBLIC_NAMES
+
+
+def _names_read_from_the_package(path: Path) -> set[str]:
+    """Every ``crrkit.<name>`` attribute a script reads, dunders aside."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "crrkit"
+        and not node.attr.startswith("__")
+    }
+
+
+@pytest.mark.parametrize("script", ["run.py", "sweep.py"])
+def test_every_name_the_benchmark_reads_is_public(script):
+    path = Path(__file__).resolve().parents[1] / "bench" / script
+    names = _names_read_from_the_package(path)
+    assert names  # the scan finds the script's reads
+    assert sorted(names - set(crrkit.__all__)) == []
+    assert [name for name in names if not hasattr(crrkit, name)] == []
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("crrkit.reconstruct", "chain_weights"),
+        ("crrkit.division", "build_scaler"),
+        ("crrkit.division", "series_numerators"),
+    ],
+)
+def test_helpers_live_only_in_their_modules(module, name):
+    assert callable(getattr(importlib.import_module(module), name))
+    assert name not in crrkit.__all__
+    with pytest.raises(AttributeError):
+        getattr(crrkit, name)

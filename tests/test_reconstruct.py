@@ -18,7 +18,6 @@ from crrkit import (
     AttemptsExhaustedError,
     BaseMismatchError,
     ModuliBase,
-    chain_weights,
     classical_coefficients,
     coprime_form_stats,
     default_n2_bound,
@@ -30,7 +29,7 @@ from crrkit import (
     reconstruct,
     sequential_coefficients,
 )
-from crrkit.reconstruct import _bezout_pair, _draw_coefficients
+from crrkit.reconstruct import _bezout_pair, _draw_coefficients, chain_weights
 from _support import (
     brute_force_crt,
     extended_gcd,
@@ -200,6 +199,25 @@ def test_sequential_weights_reduce_chain_weights():
         coeffs = sequential_coefficients(base)
         exact = chain_weights(base)
         assert coeffs.weights == tuple(w % m for w, m in zip(exact, base.moduli))
+
+
+def test_chain_weights_refuses_a_base_past_its_cap_before_any_pair(monkeypatch):
+    module = sys.modules["crrkit.reconstruct"]
+    calls = Counter()
+
+    def counting_bezout_pair(a, b):
+        calls["pair"] += 1
+        return _bezout_pair(a, b)
+
+    monkeypatch.setattr(module, "_bezout_pair", counting_bezout_pair)
+    assert len(chain_weights(prime_base(12))) == 12
+    assert calls["pair"] == 11  # the counter sees the chain's pairs
+    calls.clear()
+    cap = module.CHAIN_WEIGHTS_MAX_MODULI
+    assert cap == 256
+    with pytest.raises(ValueError, match="^chain_weights takes at most 256 moduli, not 257:"):
+        chain_weights(prime_base(cap + 1))
+    assert calls["pair"] == 0
 
 
 CHAIN_PRIMES = [nth_prime(i) for i in range(1, 100)]
