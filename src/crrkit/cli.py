@@ -63,10 +63,14 @@ _DECODE_BUDGETS = {
     "prob": (PROB_MAX_MODULI, "its Bezout pair of two r-word forms grows quadratically"),
 }
 
-# prob-stats charges a trial over r moduli 16 + r + r*r // 2048 units: a
-# fixed part per trial, draws and combines that grow about linearly in r,
-# and a gcd of its two forms that grows quadratically.  A unit took 2-5 us
-# (2-vCPU VM), so a run within the budget takes a few seconds
+# prob-stats charges a trial over r moduli 16 + r + r*words // 8 +
+# (r + 4*words)**2 // 2048 units, for the whole 64-bit words of --n2-bound
+# past the first (none at the default bound, which stays under 2**40 for
+# every r): a fixed part, draws and combines that grow about linearly in r
+# and in the coefficients' bits, and a gcd of the two forms, about
+# 16*r + 64*words bits wide, that grows quadratically.  A unit took 1-3 us
+# (2-vCPU VM, Python 3.11.7): a run at the budget's edge took 0.3-1.5 s for
+# r from 1 to 8192 at any --n2-bound
 PROB_STATS_BUDGET = 2**19
 
 
@@ -364,12 +368,13 @@ def _cmd_div(args) -> int:
 
 
 def _cmd_prob_stats(args) -> int:
-    per_trial = 16 + args.r + args.r * args.r // 2048
+    r, words = args.r, (args.n2_bound or 0).bit_length() // 64
+    per_trial = 16 + r + r * words // 8 + (r + 4 * words) ** 2 // 2048
     if args.trials * per_trial > PROB_STATS_BUDGET:
         raise ValueError(
-            "--trials times (16 + r + r*r // 2048) is above the prob-stats "
-            f"budget of {PROB_STATS_BUDGET}: this --r allows "
-            f"{PROB_STATS_BUDGET // per_trial} trials"
+            f"--trials times {per_trial}, the charge per trial for this --r and "
+            f"--n2-bound, is above the prob-stats budget of {PROB_STATS_BUDGET}: "
+            f"they allow {PROB_STATS_BUDGET // per_trial} trials"
         )
     base = prime_base(args.r)
     bound = check_form_bounds(base, args.n2_bound, args.max_attempts)

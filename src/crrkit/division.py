@@ -7,7 +7,10 @@ The pipeline for n-bit operands:
 2. slice n+1 disjoint groups of consecutive extension moduli whose products
    clear the precision floor 2**(n+3);
 3. take one truncated numerator per group and sum the product series
-   1 + t1/A1 + (t1 t2)/(A1 A2) + ... by binary splitting, an exact rational
+   1 + t1/A1 + (t1 t2)/(A1 A2) + ... by binary splitting, top down: the
+   n + 1 groups halve into index ranges whose partial sums join in
+   ceil(log2(n + 1)) levels, and no join on the right spine forms the
+   numerator product that nothing reads.  The sum is an exact rational
    that underapproximates the scaled reciprocal within 2**-n;
 4. multiply through and floor: the candidate quotient is exact or one short,
    settled by a single comparison against the dividend.
@@ -53,8 +56,8 @@ def _require_layout_bits(n: int) -> int:
 # Largest operand bit size that divide and build_plan accept.  A plan's cost
 # grows a little faster than n**3: the series reaches about n**2 bits, and
 # the strict layout sieves about n**2 / log2(n) primes.  One cold
-# `crrkit div --n N` took 1.2 s (adaptive) and 2.0 s (strict) at N = 1000,
-# 8.3 s and 11.6 s at N = 2000, on a 2-vCPU VM under Python 3.11.7.
+# `crrkit div --n N` took 0.56 s (adaptive) and 0.87 s (strict) at N = 1000,
+# 4.5 s and 7.8 s at N = 2000, on a 2-vCPU VM under Python 3.11.7.
 MAX_DIVISION_BITS = 2048
 
 
@@ -194,31 +197,43 @@ def series_numerators(y: int, scale: int, groups) -> tuple[int, ...]:
     return tuple(numerators)
 
 
+def _split(numerators, groups, i: int, j: int, need_p: bool):
+    """(P, Q, S) of the groups i..j-1: see _series_from.  P may be None
+    unless need_p, which only a left half's caller sets.
+
+    A module-level function, not a closure: a closure that calls itself is
+    a reference cycle, which would keep each call's numerators alive until
+    the cyclic collector runs.
+    """
+    if j - i == 1:
+        t = numerators[i]
+        return t, groups[i], t
+    if j - i == 2:  # a leaf's S is its t, so P1 S2 is P
+        t, a = numerators[i], groups[i + 1]
+        p = t * numerators[i + 1]
+        return p, groups[i] * a, t * a + p
+    m = (i + j) // 2
+    p1, q1, s1 = _split(numerators, groups, i, m, True)
+    p2, q2, s2 = _split(numerators, groups, m, j, need_p)
+    return p1 * p2 if need_p else None, q1 * q2, s1 * q2 + p1 * s2
+
+
 def _series_from(numerators, groups) -> tuple[int, int]:
-    # Bottom-up binary splitting (Haible & Papanikolaou 1998): a run of
-    # groups i..j is (P, Q, S) with P = t_i..t_j, Q = A_i..A_j and S/Q the
-    # run's partial sum t_i/A_i + (t_i t_{i+1})/(A_i A_{i+1}) + ...  Two
-    # neighbouring runs join as (P1 P2, Q1 Q2, S1 Q2 + P1 S2), so the
-    # operands of each product stay balanced and fast multiplication pays
-    # off, where n + 1 small-by-big Horner steps on a numerator of about
-    # n**2 bits are quadratic.  An odd last run is carried up unchanged.
-    # The last join skips P, which nothing reads and is as wide as Q.
-    # The result is (Q + S) / Q with Q = prod(groups); no groups give 1/1.
-    runs = [(t, a, t) for t, a in zip(numerators, groups)]
-    if not runs:
+    # Binary splitting (Haible & Papanikolaou 1998), top down over index
+    # ranges: the groups i..j-1 are (P, Q, S) with P the product of their
+    # numerators t, Q that of their products A, and S/Q their partial sum
+    # t_i/A_i + (t_i t_{i+1})/(A_i A_{i+1}) + ...  Two halves join as
+    # (P1 P2, Q1 Q2, S1 Q2 + P1 S2), so the operands of each product stay
+    # balanced and fast multiplication pays off, where n + 1 small-by-big
+    # Horner steps on a numerator of about n**2 bits are quadratic.  Only a
+    # left half's P is read, so the root and every join on the right spine
+    # skip P1 P2, the widest product of their level.  The joins nest
+    # ceil(log2 g) deep for g groups, the series' log-depth join, and cost
+    # at most 4(g - 1) - floor(log2 g) products.  The result is (Q + S) / Q
+    # with Q = prod(groups); no groups give 1/1.
+    if not groups:
         return 1, 1
-    while len(runs) > 2:
-        joined = [
-            (p1 * p2, q1 * q2, s1 * q2 + p1 * s2)
-            for (p1, q1, s1), (p2, q2, s2) in zip(runs[::2], runs[1::2])
-        ]
-        if len(runs) % 2:
-            joined.append(runs[-1])
-        runs = joined
-    p, q, s = runs[0]
-    if len(runs) == 2:
-        _, q2, s2 = runs[1]
-        q, s = q * q2, s * q2 + p * s2
+    _, q, s = _split(numerators, groups, 0, len(groups), False)
     return q + s, q
 
 

@@ -639,26 +639,42 @@ def test_prob_stats_n2_bound_one_rejected_before_any_trial(capsys, monkeypatch):
     assert err.startswith("error: n2_bound must be at least 2")
 
 
-@pytest.mark.parametrize("r", [1, 8192, 31000, 50000])
+@pytest.mark.parametrize(
+    "r, bound",
+    [
+        pytest.param(1, None, id="1"),
+        pytest.param(8192, None, id="8192"),
+        pytest.param(31000, None, id="31000"),
+        pytest.param(50000, None, id="50000"),
+        pytest.param(1, "9" * 4299, id="1-4299-digits"),
+        pytest.param(8, str(2**64), id="8-65-bits"),
+        pytest.param(64, "9" * 1201, id="64-1201-digits"),
+        pytest.param(2000, "9" * 4299, id="2000-4299-digits"),
+    ],
+)
 def test_prob_stats_above_the_budget_fails_before_any_sieve_or_draw(
-    capsys, monkeypatch, r
+    capsys, monkeypatch, r, bound
 ):
     def reached(count):
         raise Reached(count)
 
     monkeypatch.setattr(cli, "prime_base", reached)
-    per_trial = 16 + r + r * r // 2048
+    # the coefficients' whole 64-bit words past the first: the draws and
+    # combines grow with r * words, the gcd with the forms' 16*r + 64*words bits
+    words = int(bound or 0).bit_length() // 64
+    per_trial = 16 + r + r * words // 8 + (r + 4 * words) ** 2 // 2048
     allowed = cli.PROB_STATS_BUDGET // per_trial
+    flags = ("prob-stats", "--r", str(r)) + (("--n2-bound", bound) if bound else ())
     if allowed:  # 50000 moduli alone are over the budget
         with pytest.raises(Reached):
-            main(["prob-stats", "--r", str(r), "--trials", str(allowed)])
+            main([*flags, "--trials", str(allowed)])
     for trials in (allowed + 1, 10**30):
-        argv = ("prob-stats", "--r", str(r), "--trials", str(trials))
-        code, out, err = run(capsys, *argv)
+        code, out, err = run(capsys, *flags, "--trials", str(trials))
         assert (code, out) == (2, "")
         assert err == (
-            "error: --trials times (16 + r + r*r // 2048) is above the prob-stats "
-            f"budget of {cli.PROB_STATS_BUDGET}: this --r allows {allowed} trials\n"
+            f"error: --trials times {per_trial}, the charge per trial for this --r "
+            f"and --n2-bound, is above the prob-stats budget of "
+            f"{cli.PROB_STATS_BUDGET}: they allow {allowed} trials\n"
         )
 
 

@@ -313,8 +313,8 @@ def test_reciprocal_series_randomized_bound():
 @example([(5, 7), (3, 11)])
 @example([(5, 7), (0, 11), (3, 13)])
 @example([(3, 5), (1, 7), (2, 11), (5, 13), (1, 17)])
-# odd and even group counts around powers of two, where the last join pairs
-# two runs after a carry or none
+# odd and even group counts around powers of two, where the halves of a
+# split differ by one or not at all
 @example([(k + 1, 2 * k + 3) for k in range(4)])
 @example([(k + 1, 2 * k + 3) for k in range(6)])
 @example([(k + 1, 2 * k + 3) for k in range(7)])
@@ -324,6 +324,13 @@ def test_reciprocal_series_randomized_bound():
 @example([(k + 1, 2 * k + 3) for k in range(16)])
 @example([(k + 1, 2 * k + 3) for k in range(17)])
 @example([(k + 1, 2 * k + 3) for k in range(33)])
+# the group counts of adaptive plans at n = 63, 64, 126, 127, 128 and 129
+@example([(k + 1, 2 * k + 3) for k in range(64)])
+@example([(k + 1, 2 * k + 3) for k in range(65)])
+@example([(k + 1, 2 * k + 3) for k in range(127)])
+@example([(k + 1, 2 * k + 3) for k in range(128)])
+@example([(k + 1, 2 * k + 3) for k in range(129)])
+@example([(k + 1, 2 * k + 3) for k in range(130)])
 def test_reciprocal_series_matches_suffix_product_oracle(terms):
     numerators = tuple(t for t, _ in terms)
     groups = tuple(a for _, a in terms)
@@ -334,13 +341,42 @@ def test_reciprocal_series_matches_suffix_product_oracle(terms):
 
 @pytest.mark.parametrize(
     "n, mode",
-    [(n, "adaptive") for n in (4, 5, 8, 127, 128, 129)] + [(64, "strict")],
+    [(n, "adaptive") for n in (4, 5, 8, 127, 128, 129, 256)] + [(64, "strict")],
 )
 def test_plan_series_matches_horner(n, mode):
     rng = random.Random(n)
     for y in (2, 3, (1 << n) - 1, rng.randrange(2, 1 << n)):
         plan = build_plan(y, n, mode)
         assert plan.series == reference_horner_series(plan.numerators, plan.groups)
+
+
+class _CountingInt(int):
+    """An int whose products and sums stay counting ints; counts products."""
+
+    products = 0
+
+    def __mul__(self, other):
+        _CountingInt.products += 1
+        return _CountingInt(int(self) * int(other))
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        return _CountingInt(int(self) + int(other))
+
+
+@pytest.mark.parametrize("g", [0, 1, 2, 3, 4, 5, 8, 9, 16, 17, 65, 129, 130])
+def test_reciprocal_series_product_count_law(g, monkeypatch):
+    # the root and the joins on the right spine skip P: at most
+    # 4(g - 1) - floor(log2 g) products, where skipping it on the last join
+    # only takes 4(g - 1) - 1
+    monkeypatch.setattr(_CountingInt, "products", 0)
+    numerators = tuple(_CountingInt(k + 1) for k in range(g))
+    groups = tuple(_CountingInt(2 * k + 3) for k in range(g))
+    series = _series_from(numerators, groups)
+    bound = 4 * (g - 1) - (g.bit_length() - 1) if g else 0
+    assert _CountingInt.products <= bound
+    assert series == reference_horner_series(numerators, groups)
 
 
 def test_underapprox_type():
