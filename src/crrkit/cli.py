@@ -41,28 +41,6 @@ REFERENCE_COPRIME_RATE = 6 / math.pi**2
 
 METHODS = ("classical", "sequential", "garner", "prob")
 
-# The most moduli each quadratic decode takes, checked after the file is
-# parsed and before any inversion, Bezout pair or draw.  Each doubling of r
-# about quadruples the cost (2-vCPU VM, Python 3.11.7):
-# - garner makes r(r - 1)/2 inversions: 2048 moduli take about 1.2 s;
-GARNER_MAX_MODULI = 2048
-# - sequential walks its chain over prefix products of up to r words, one
-#   leaf of the product tree at a time: a cold decode of 8192 moduli took
-#   0.19 s (18.5 MiB peak RSS), and its memory grows only linearly;
-SEQUENTIAL_MAX_MODULI = 8192
-# - prob takes one Bezout pair of two forms of about r words: 8192 moduli
-#   took 1.0 s (5.2 s at 16384), with a peak of 1 MiB.
-PROB_MAX_MODULI = 8192
-
-_DECODE_BUDGETS = {
-    "sequential": (
-        SEQUENTIAL_MAX_MODULI,
-        "its chain over the prefix products grows quadratically",
-    ),
-    "garner": (GARNER_MAX_MODULI, "its r(r - 1)/2 inversions grow quadratically"),
-    "prob": (PROB_MAX_MODULI, "its Bezout pair of two r-word forms grows quadratically"),
-}
-
 # prob-stats charges a trial over r moduli 16 + r + r*words // 8 +
 # (r + 4*words)**2 // 2048 units, for the whole 64-bit words of --n2-bound
 # past the first (none at the default bound, which stays under 2**40 for
@@ -276,15 +254,12 @@ class _Decoded(NamedTuple):
 
 
 def _decoder(method: str, base, rng=0, n2_bound=None, max_attempts=64):
-    """Check ``method``'s budget, then build its weights or converter for
-    ``base`` once: the function vector -> ``_Decoded``.
+    """Build ``method``'s weights or converter for ``base`` once: the function
+    vector -> ``_Decoded``.  Each route refuses a base past its own cap.
 
     ``rng`` is prob's generator, or a seed that only prob makes one of.  Routes
     are looked up in this module when called, where span patches replace them.
     """
-    top, why = _DECODE_BUDGETS.get(method, (len(base), ""))
-    if len(base) > top:
-        raise ValueError(f"{method} takes at most {top} moduli, not {len(base)}: {why}")
     if method == "garner":
         garner = garner_converter(base)
         return lambda vector: _Decoded(garner.decode(vector), garner.egcd_calls)

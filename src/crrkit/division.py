@@ -181,20 +181,18 @@ def series_numerators(y: int, scale: int, groups) -> tuple[int, ...]:
     """Truncations floor((scale - y) * A / scale), one per group.
 
     Each ratio t/A must sit within 2**-(n+3) below (scale - y)/scale, where
-    n + 1 is the group count; that follows from the group floor and is
-    checked here exactly rather than assumed.
+    n + 1 is the group count.  Its gap is below scale / (scale * A) = 1/A, so
+    every product above 2**(n+3) is enough; that is checked first, for all of
+    them, before any numerator is formed.
     """
     if not 0 < y <= scale:
         raise ValueError("need 0 < y <= scale")
-    bits = len(groups) + 2
-    shortfall = scale - y
-    numerators = []
+    floor = 1 << (len(groups) + 2)
     for index, product in enumerate(groups, start=1):
-        t, gap = divmod(shortfall * product, scale)
-        if gap < 0 or gap << bits > scale * product:
-            raise GroupBoundError(index, product, 1 << bits)
-        numerators.append(t)
-    return tuple(numerators)
+        if product <= floor:
+            raise GroupBoundError(index, product, floor)
+    shortfall = scale - y
+    return tuple([shortfall * product // scale for product in groups])
 
 
 def _split(numerators, groups, i: int, j: int, need_p: bool):

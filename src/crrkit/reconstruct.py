@@ -35,6 +35,10 @@ calls, the two combines 0.15 ms and the gcd 0.03 ms.  The one Bezout pair of
 the coprime draw, 1.1 ms, is the largest single cost; the value step after it,
 two more combines and two form-sized products, took 0.12 ms (2-vCPU VM,
 Python 3.11.7).
+
+Every route but the classical one, and :func:`chain_weights`, refuses a base
+past its cap (``GARNER_MAX_MODULI`` and the like) with a ValueError, before
+any other work; the command line prints that message as it is.
 """
 
 import math
@@ -74,6 +78,43 @@ def _first_shared_factor(values, moduli) -> int:
     """
     pairs = enumerate(zip(values, moduli))
     return next(i for i, (a, m) in pairs if math.gcd(a, m) != 1)
+
+
+# The most moduli that each route whose cost grows faster than its input
+# takes.  The route checks its cap as its first step: before its product tree
+# is touched and before any inversion, Bezout pair or draw.  Each doubling of
+# r about quadruples the cost (2-vCPU VM, Python 3.11.7):
+# - garner makes r(r - 1)/2 inversions: 2048 moduli take about 1.2 s;
+GARNER_MAX_MODULI = 2048
+# - sequential walks its chain over prefix products of up to r words, one
+#   leaf of the product tree at a time: a cold decode of 8192 moduli took
+#   0.19 s (18.5 MiB peak RSS), and its memory grows only linearly;
+SEQUENTIAL_MAX_MODULI = 8192
+# - prob takes one Bezout pair of two forms of about r words: 8192 moduli
+#   took 1.0 s (5.2 s at 16384), with a peak of 1 MiB;
+PROB_MAX_MODULI = 8192
+# - chain_weights' tuple holds O(r^3) bits, about 9 times the memory per
+#   doubling: at 256 moduli it took about 60 ms and 6.1 MiB, at 512 1.6 s
+#   and 55 MiB.
+CHAIN_WEIGHTS_MAX_MODULI = 256
+
+# route -> (its cap, why), as a refusal names them
+_CAPS = {
+    "garner": (GARNER_MAX_MODULI, "its r(r - 1)/2 inversions grow quadratically"),
+    "sequential": (
+        SEQUENTIAL_MAX_MODULI,
+        "its chain over the prefix products grows quadratically",
+    ),
+    "prob": (PROB_MAX_MODULI, "its Bezout pair of two r-word forms grows quadratically"),
+    "chain_weights": (CHAIN_WEIGHTS_MAX_MODULI, "its weights hold O(r^3) bits"),
+}
+
+
+def _require_at_most(route: str, base: ModuliBase):
+    """ValueError past ``route``'s cap: the route's first step, before any work."""
+    top, why = _CAPS[route]
+    if len(base) > top:
+        raise ValueError(f"{route} takes at most {top} moduli, not {len(base)}: {why}")
 
 
 class CrtCoefficients(NamedTuple):
@@ -146,6 +187,7 @@ def sequential_coefficients(base: ModuliBase) -> CrtCoefficients:
     constant, plus leaf-sized work per modulus.  Memory is linear: r weights,
     the prefix and one leaf-sized remainder per leaf.
     """
+    _require_at_most("sequential", base)
     tree = base._tree
     # weights[j] holds beta_j until the back walk replaces it with w_j;
     # beta_0 = 1 is the inverse of P_0 = 1, so the first leaf skips m_0
@@ -191,12 +233,6 @@ def sequential_coefficients(base: ModuliBase) -> CrtCoefficients:
     return CrtCoefficients(base, tuple(weights), len(weights) - 1)
 
 
-# The most moduli chain_weights takes.  Its tuple holds O(r^3) bits, about
-# 9 times the memory per doubling of r: at 256 moduli it took about 60 ms and
-# 6.1 MiB, at 512 1.6 s and 55 MiB (2-vCPU VM, Python 3.11.7).
-CHAIN_WEIGHTS_MAX_MODULI = 256
-
-
 def chain_weights(base: ModuliBase) -> tuple[int, ...]:
     """The chain's unreduced weights: beta_i times every later alpha.
 
@@ -211,12 +247,8 @@ def chain_weights(base: ModuliBase) -> tuple[int, ...]:
     not decoding.  Not in ``__all__``, and ValueError for a base of more than
     ``CHAIN_WEIGHTS_MAX_MODULI`` moduli, before any pair is built.
     """
+    _require_at_most("chain_weights", base)
     moduli = base.moduli
-    if len(moduli) > CHAIN_WEIGHTS_MAX_MODULI:
-        raise ValueError(
-            f"chain_weights takes at most {CHAIN_WEIGHTS_MAX_MODULI} moduli, "
-            f"not {len(moduli)}: its weights hold O(r^3) bits"
-        )
     prefixes = accumulate(moduli[:-1], operator.mul)
     pairs = list(map(_bezout_pair, moduli[1:], prefixes))
     weights = []
@@ -276,6 +308,7 @@ def _radix_inverses(moduli):
 
 def garner_converter(base: ModuliBase) -> GarnerConverter:
     """Every pairwise inverse m_i^-1 mod m_j, i < j: r(r-1)/2 counted calls."""
+    _require_at_most("garner", base)
     # a tuple grown from the generator, not a list copied into one: the copy
     # would be a second array of r pointers at the peak
     radix_inverses = tuple(_radix_inverses(base.moduli))
@@ -407,6 +440,7 @@ def probabilistic_reconstruct(
     Once every attempt fails: ValueError if the moduli share a factor, which
     divides every cofactor and so every form; else AttemptsExhaustedError.
     """
+    _require_at_most("prob", vector.base)
     base = vector.base
     n2_bound = check_form_bounds(base, n2_bound, max_attempts)
     found = _first_coprime_draw(base, rng, n2_bound, max_attempts)
@@ -423,17 +457,7 @@ def probabilistic_reconstruct(
         u * tree.combine(map(operator.mul, residues, s))
         + v * tree.combine(map(operator.mul, residues, t))
     ) % base.product
-    sample = LinearFormSample(
-        s=s,
-        t=t,
-        form_s=form_s,
-        form_t=form_t,
-        bezout_u=u,
-        bezout_v=v,
-        attempts=attempt,
-        n2_bound=n2_bound,
-    )
-    return value, sample
+    return value, LinearFormSample(s, t, form_s, form_t, u, v, attempt, n2_bound)
 
 
 def coprime_form_stats(

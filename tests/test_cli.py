@@ -336,14 +336,20 @@ class Reached(Exception):
     """Raised by a stand-in for the first costly call, past every check."""
 
 
+# the routes' module, which holds their caps; the package's ``reconstruct``
+# attribute is the function of that name
+ROUTES = sys.modules["crrkit.reconstruct"]
+
+
 def test_decode_garner_above_the_budget_fails_before_any_inversion(
     capsys, monkeypatch, tmp_path
 ):
-    def reached(base):
-        raise Reached(len(base))
+    def reached(moduli):
+        raise Reached(len(moduli))
 
-    monkeypatch.setattr(cli, "garner_converter", reached)
-    top = cli.GARNER_MAX_MODULI
+    # the route holds the cap, so the stand-in is its first costly call
+    monkeypatch.setattr(ROUTES, "_radix_inverses", reached)
+    top = ROUTES.GARNER_MAX_MODULI
     paths = {r: tmp_path / f"{r}.crr" for r in (top, top + 1)}
     for r, path in paths.items():
         argv = ("encode", "--value", "5", "--count", str(r), "--out", str(path))
@@ -364,14 +370,14 @@ def test_decode_garner_above_the_budget_fails_before_any_inversion(
     [
         (
             "sequential",
-            "sequential_coefficients",
-            cli.SEQUENTIAL_MAX_MODULI,
+            "pow",
+            ROUTES.SEQUENTIAL_MAX_MODULI,
             "its chain over the prefix products grows quadratically",
         ),
         (
             "prob",
-            "probabilistic_reconstruct",
-            cli.PROB_MAX_MODULI,
+            "_first_coprime_draw",
+            ROUTES.PROB_MAX_MODULI,
             "its Bezout pair of two r-word forms grows quadratically",
         ),
     ],
@@ -382,7 +388,9 @@ def test_decode_above_the_budget_fails_before_any_pair_or_draw(
     def reached(*args, **kwargs):
         raise Reached(method)
 
-    monkeypatch.setattr(cli, first_costly_call, reached)
+    # a module-level pow shadows the builtin for the sequential chain's
+    # inversions, the first costly call of its route
+    monkeypatch.setattr(ROUTES, first_costly_call, reached, raising=False)
     paths = {r: tmp_path / f"{r}.crr" for r in (top, top + 1)}
     for r, path in paths.items():
         argv = ("encode", "--value", "5", "--count", str(r), "--out", str(path))

@@ -266,6 +266,25 @@ def test_series_numerators_rejects_small_groups():
         series_numerators(3, 4, (5, 5, 5, 5, 5))
 
 
+def test_series_numerators_needs_every_product_above_the_floor():
+    # three groups: a product must exceed 2**5, as a plan's layout requires,
+    # even where its numerator's own gap would be small enough
+    floor = 1 << 5
+    with pytest.raises(GroupBoundError) as info:
+        series_numerators(3, 4, (floor + 1, floor, floor + 1))
+    assert (info.value.index, info.value.product, info.value.bound) == (2, floor, floor)
+    assert series_numerators(3, 4, (floor + 1,) * 3) == ((floor + 1) // 4,) * 3
+
+
+def test_series_numerators_refuses_before_forming_any_product(monkeypatch):
+    monkeypatch.setattr(_CountingInt, "products", 0)
+    groups = tuple(map(_CountingInt, (1 << 40, 1 << 40, 5)))
+    with pytest.raises(GroupBoundError) as info:
+        series_numerators(3, 4, groups)
+    assert info.value.index == 3
+    assert _CountingInt.products == 0
+
+
 # --- reciprocal series ---
 
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from crrkit import (
     AttemptsExhaustedError,
     BaseMismatchError,
+    CrrVector,
     ModuliBase,
     classical_coefficients,
     coprime_form_stats,
@@ -218,6 +219,67 @@ def test_chain_weights_refuses_a_base_past_its_cap_before_any_pair(monkeypatch):
     with pytest.raises(ValueError, match="^chain_weights takes at most 256 moduli, not 257:"):
         chain_weights(prime_base(cap + 1))
     assert calls["pair"] == 0
+
+
+
+class Reached(Exception):
+    """Raised by a stand-in for a route's first costly call."""
+
+
+ROUTES = sys.modules["crrkit.reconstruct"]
+
+
+@pytest.mark.parametrize(
+    "route, build, first_costly_call, top, why",
+    [
+        (
+            "garner",
+            garner_converter,
+            "_radix_inverses",
+            ROUTES.GARNER_MAX_MODULI,
+            "its r(r - 1)/2 inversions grow quadratically",
+        ),
+        (
+            "sequential",
+            sequential_coefficients,
+            "pow",  # a module-level pow shadows the builtin for its inversions
+            ROUTES.SEQUENTIAL_MAX_MODULI,
+            "its chain over the prefix products grows quadratically",
+        ),
+        (
+            "prob",
+            lambda base: probabilistic_reconstruct(
+                CrrVector(base, (0,) * len(base)), random.Random(0)
+            ),
+            "_first_coprime_draw",
+            ROUTES.PROB_MAX_MODULI,
+            "its Bezout pair of two r-word forms grows quadratically",
+        ),
+        (
+            "chain_weights",
+            chain_weights,
+            "_bezout_pair",
+            ROUTES.CHAIN_WEIGHTS_MAX_MODULI,
+            "its weights hold O(r^3) bits",
+        ),
+    ],
+    ids=["garner", "sequential", "prob", "chain_weights"],
+)
+def test_each_capped_route_refuses_past_its_cap_before_any_work(
+    monkeypatch, route, build, first_costly_call, top, why
+):
+    def reached(*args):
+        raise Reached(route)
+
+    monkeypatch.setattr(ROUTES, first_costly_call, reached, raising=False)
+    # a fresh base, whose product tree nothing has built yet
+    base = ModuliBase(prime_base(top + 1).moduli)
+    message = f"{route} takes at most {top} moduli, not {top + 1}: {why}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(base)
+    assert "_tree" not in vars(base)
+    with pytest.raises(Reached):
+        build(prime_base(top))
 
 
 CHAIN_PRIMES = [nth_prime(i) for i in range(1, 100)]
