@@ -16,7 +16,7 @@ import math
 import operator
 import threading
 from array import array
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .errors import PrimeLimitError, excerpt, excerpt_int, int_repr
 
@@ -65,7 +65,9 @@ def require_prime_index(index: int):
 
 def nth_prime(index: int) -> int:
     """The index-th prime, 1-indexed: 1 -> 2, 2 -> 3, 3 -> 5, ..."""
-    # generated bases call this once per prime, so plain ints skip the call
+    # adaptive_group_size calls this once per prime, and the benchmark's
+    # CLI base pool once for each of its 48 x 192 primes, so plain ints skip
+    # the call
     if type(index) is not int:
         index = _require_int(index, "prime index")
     if index < 1:
@@ -273,11 +275,12 @@ def pairwise_coprime(moduli) -> bool:
     return moduli._tree.pairwise_coprime()
 
 
-# typed, so that True or 3.0 never hits the entry cached for 1 or 3 and
-# always reaches the type check
-@lru_cache(maxsize=64, typed=True)
 def prime_base(count: int) -> ModuliBase:
-    """Base of ``count`` consecutive primes starting at 5 (skipping 2 and 3)."""
+    """Base of ``count`` consecutive primes starting at 5 (skipping 2 and 3).
+
+    Each call builds a new base, with a product tree of its own, so a caller
+    that decodes many vectors keeps the base it made.
+    """
     count = require_positive(count, "count")
     nth_prime(count + 2)  # checks the ceiling and sieves far enough
     return ModuliBase(tuple(_primes[2 : count + 2]))

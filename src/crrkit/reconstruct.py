@@ -28,13 +28,11 @@ keeps r ints, one radix inverse per modulus, and decodes in O(r) big-int
 steps (see :class:`GarnerConverter`).
 
 One random attempt draws 2r coefficients with ``rng.getrandbits``, mapped in
-C (see :func:`_draw_coefficients`), combines the two forms down the product
-tree and takes one ``math.gcd``.  Over 192 primes from the 2500th (forms of
-about 2,800 bits) the draw took 0.15 ms, against 0.36 ms for 2r ``randint``
-calls, the two combines 0.15 ms and the gcd 0.03 ms.  The one Bezout pair of
-the coprime draw, 1.1 ms, is the largest single cost; the value step after it,
-two more combines and two form-sized products, took 0.12 ms (2-vCPU VM,
-Python 3.11.7).
+C (see :func:`_draw_coefficients`), which is faster than 2r ``randint``
+calls, combines the two forms down the product tree and takes one
+``math.gcd``.  The one Bezout pair of the coprime draw costs more than any
+other step: the draw, a combine, the gcd, or the value step after it (two
+more combines and two form-sized products).
 
 Every route but the classical one, and :func:`chain_weights`, refuses a base
 past its cap (``GARNER_MAX_MODULI`` and the like) with a ValueError, before
@@ -408,17 +406,10 @@ def _bezout_pair(a: int, b: int) -> tuple[int, int]:
 
     u is the inverse of a mod b taken in (-b/2, b/2], and v follows from
     u*a + v*b == 1.  Euclid's own coefficients satisfy |u| <= b/2 (Knuth,
-    TAOCP vol. 2, 4.5.2), so this is the same pair, from one ``pow``.  The
-    inverse is taken modulo the smaller argument: for a < b, v is b^-1 mod a
-    in (-a/2, a/2], which holds exactly when u lies in (-b/2, b/2], and u
-    follows.  ValueError when a and b share a factor.
+    TAOCP vol. 2, 4.5.2), so this is the same pair, from one ``pow``.
+    ValueError when a and b share a factor.
     """
     try:
-        if a < b:
-            v = pow(b, -1, a)
-            if 2 * v > a:
-                v -= a
-            return (1 - v * b) // a, v
         u = pow(a, -1, b)
     except ValueError:
         raise _not_invertible(b, a) from None

@@ -161,6 +161,11 @@ def test_encode_with_base_file(capsys, tmp_path):
     )
     assert code == 0
     assert out_path.read_text().startswith("CRR1\nbase 5 5 7 11 13 17\n")
+    # a CRR file is not a base file: its first line is not a base line
+    argv = ("encode", "--value", "3", "--base-file", str(out_path))
+    assert run(capsys, *argv) == (
+        2, "", "parse error: line 1: expected a single base line\n"
+    )
 
 
 # --- decode ---

@@ -261,6 +261,13 @@ def test_series_numerators_underapprox_property():
             assert UnderApprox(Fraction(t, a), target, n + 3).holds
 
 
+def test_series_numerators_needs_y_within_the_scale():
+    groups = (1 << 40,) * 3
+    for y in (0, 5):
+        with pytest.raises(ValueError, match=r"^need 0 < y <= scale$"):
+            series_numerators(y, 4, groups)
+
+
 def test_series_numerators_rejects_small_groups():
     with pytest.raises(GroupBoundError):
         series_numerators(3, 4, (5, 5, 5, 5, 5))
@@ -511,6 +518,12 @@ def test_divide_and_build_plan_reject_non_int_operands(x, y, n, named):
     if not named.startswith("dividend"):
         with pytest.raises(TypeError, match=match):
             build_plan(y, n)
+
+
+def test_build_plan_refuses_a_divisor_out_of_range_for_the_bit_size():
+    for y in (-3, 0, 1, 256):
+        with pytest.raises(ValueError, match="^divisor out of range for the bit size$"):
+            build_plan(y, 8)
 
 
 def test_divide_takes_an_int_subclass_as_its_plain_int():

@@ -1,8 +1,10 @@
 """Moduli base generation, validation, and the base text line."""
 
+import gc
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from crrkit import (
     ModuliBase,
     ParseError,
     PrimeLimitError,
+    classical_coefficients,
     encode,
     format_base_line,
     nth_prime,
@@ -120,6 +123,23 @@ def test_equal_moduli_bases_compare_and_hash_equal():
     assert built is not generated
     assert built == generated and hash(built) == hash(generated)
     assert built != ModuliBase.from_moduli([7, 5, 11, 13])
+    again = prime_base(4)
+    assert again == generated and hash(again) == hash(generated)
+
+
+def test_prime_base_keeps_nothing_once_its_base_is_dropped():
+    # a base built and used, then dropped, leaves no product tree behind
+    prime_base(4096)  # sieves far enough, so the sieve's growth is not counted
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        classical_coefficients(prime_base(4096))
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 0.1 * 2**20
 
 
 def test_pairwise_coprime_examples():
@@ -279,6 +299,8 @@ def test_base_line_parse_errors():
         parse_base_line("base 2 6 10")  # not coprime
     with pytest.raises(ParseError):
         parse_base_line("res 1 5")  # wrong keyword
+    with pytest.raises(ParseError, match="^line 1: expected a single base line$"):
+        parse_base_line("base 1 5\nbase 1 5\n")
     err = None
     try:
         parse_base_line("base 3 5 x 11")

@@ -97,6 +97,8 @@ def test_ring_homomorphism_wide_base(a, b):
 def test_mismatched_bases_raise():
     with pytest.raises(BaseMismatchError):
         encode(1, BASE_357) + encode(1, BASE_5_7_11)
+    with pytest.raises(TypeError):
+        encode(1, BASE_357) + 5  # an int is not a vector over any base
     # structurally equal bases are fine even when not the same object
     twin = ModuliBase.from_moduli([3, 5, 7])
     assert (encode(2, BASE_357) + encode(3, twin)) == encode(5, BASE_357)
@@ -359,6 +361,11 @@ def test_moduli_base_repr_past_the_digit_limit_shows_bits():
     assert repr(nine) == f"ModuliBase(r=9, 5..<int of {bits} bits>)"
     at_limit = 10 ** (LIMIT - 1) + 1  # LIMIT digits: shown in full, as before
     assert repr(ModuliBase([at_limit])) == f"ModuliBase([{at_limit}])"
+
+
+def test_crr_vector_repr_past_eight_residues_shows_the_count():
+    shown = repr(encode(1, prime_base(9)))
+    assert shown == "CrrVector(r=9 over ModuliBase(r=9, 5..31))"
 
 
 def test_crr_vector_repr_past_the_digit_limit_shows_bits():
