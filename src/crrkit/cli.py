@@ -23,7 +23,6 @@ from typing import NamedTuple
 from .errors import CrrError, ParseError, PrimeLimitError, excerpt
 from .moduli import pairwise_coprime, prime_base, prime_base_chunks
 from .reconstruct import (
-    chain_weights,
     check_form_bounds,
     classical_coefficients,
     coprime_form_stats,
@@ -436,11 +435,6 @@ def check_egcd_counts(r: int):
         _ensure(decoded.egcd_calls == law + decoded.attempts, f"{method} decode count")
 
 
-def check_telescoping(base):
-    """The unreduced chain weights combine with the cofactors to exactly 1."""
-    _ensure(base._tree.combine(chain_weights(base)) == 1, "telescoping identity")
-
-
 def check_division(n: int, mode: str, rng, trials: int, *pairs) -> Counter:
     """Exact quotients for pairs, then ``trials`` random ones; counts corrections."""
     from .division import divide
@@ -482,7 +476,7 @@ def _cmd_selftest(args) -> int:
         ("moduli", _self_moduli),
         ("roundtrip", lambda: check_roundtrip(prime_base(8), rng, 100)),
         ("egcd_counts", lambda: check_egcd_counts(10)),
-        ("telescoping", lambda: check_telescoping(prime_base(12))),
+        ("telescoping", lambda: _self_telescoping(sequential_coefficients(prime_base(12)))),
         ("serialization", lambda: _self_serialization(rng)),
         ("division", lambda: _self_division(rng)),
         ("division_strict", lambda: _self_division_strict(rng)),
@@ -503,6 +497,11 @@ def _self_moduli():
     base = prime_base(8)
     _ensure(base.moduli == (5, 7, 11, 13, 17, 19, 23, 29), "unexpected prime base")
     _ensure(pairwise_coprime(base), "prime base not coprime")
+
+
+def _self_telescoping(coefficients):
+    base, weights, _ = coefficients
+    _ensure(base._tree.combine(weights) % base.product == 1, "telescoping identity")
 
 
 def _self_serialization(rng):

@@ -34,6 +34,19 @@ def excerpt_int(value: int) -> str:
     return excerpt(text, str)
 
 
+def type_error(value, what: str, kind: str) -> TypeError:
+    """TypeError "<what> <value> is not <kind>" for an argument of a wrong type.
+
+    A value whose ``repr`` prints an int too long for ``str()``, such as
+    ``Fraction(10**5000)``, is shown by its type, as :func:`int_repr` does.
+    """
+    try:
+        shown = excerpt(repr(value), str)
+    except ValueError:
+        shown = f"<{type(value).__name__}>"
+    return TypeError(f"{what} {shown} is not {kind}")
+
+
 def int_repr(value: int) -> str:
     """``repr(value)``, or ``<int of N bits>`` for an int too long for ``str()``."""
     try:

@@ -18,7 +18,7 @@ import threading
 from array import array
 from functools import cached_property
 
-from .errors import PrimeLimitError, excerpt, excerpt_int, int_repr
+from .errors import PrimeLimitError, excerpt_int, int_repr, type_error
 
 __all__ = [
     "PRIME_INDEX_CEILING",
@@ -81,17 +81,9 @@ def nth_prime(index: int) -> int:
 
 
 def _require_int(value, what: str) -> int:
-    """value as a plain int; TypeError naming it unless it is an int (not bool).
-
-    A value whose ``repr`` prints an int too long for ``str()``, such as
-    ``Fraction(10**5000)``, is shown by its type, as :func:`int_repr` does.
-    """
+    """value as a plain int; TypeError naming it unless it is an int (not bool)."""
     if isinstance(value, bool) or not isinstance(value, int):
-        try:
-            shown = excerpt(repr(value), str)
-        except ValueError:
-            shown = f"<{type(value).__name__}>"
-        raise TypeError(f"{what} {shown} is not an int")
+        raise type_error(value, what, "an int")
     return operator.index(value)
 
 

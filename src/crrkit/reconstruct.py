@@ -34,9 +34,9 @@ calls, combines the two forms down the product tree and takes one
 other step: the draw, a combine, the gcd, or the value step after it (two
 more combines and two form-sized products).
 
-Every route but the classical one, and :func:`chain_weights`, refuses a base
-past its cap (``GARNER_MAX_MODULI`` and the like) with a ValueError, before
-any other work; the command line prints that message as it is.
+Every route but the classical one refuses a base past its cap
+(``GARNER_MAX_MODULI`` and the like) with a ValueError, before any other
+work; the command line prints that message as it is.
 """
 
 import math
@@ -44,7 +44,7 @@ import operator
 from itertools import accumulate, islice, repeat, zip_longest
 from typing import NamedTuple
 
-from .errors import AttemptsExhaustedError, BaseMismatchError, excerpt_int
+from .errors import AttemptsExhaustedError, BaseMismatchError, excerpt_int, type_error
 from .moduli import ModuliBase, pairwise_coprime, require_positive
 from .vectors import CrrVector
 
@@ -89,12 +89,8 @@ GARNER_MAX_MODULI = 2048
 #   0.19 s (18.5 MiB peak RSS), and its memory grows only linearly;
 SEQUENTIAL_MAX_MODULI = 8192
 # - prob takes one Bezout pair of two forms of about r words: 8192 moduli
-#   took 1.0 s (5.2 s at 16384), with a peak of 1 MiB;
+#   took 1.0 s (5.2 s at 16384), with a peak of 1 MiB.
 PROB_MAX_MODULI = 8192
-# - chain_weights' tuple holds O(r^3) bits, about 9 times the memory per
-#   doubling: at 256 moduli it took about 60 ms and 6.1 MiB, at 512 1.6 s
-#   and 55 MiB.
-CHAIN_WEIGHTS_MAX_MODULI = 256
 
 # route -> (its cap, why), as a refusal names them
 _CAPS = {
@@ -104,7 +100,6 @@ _CAPS = {
         "its chain over the prefix products grows quadratically",
     ),
     "prob": (PROB_MAX_MODULI, "its Bezout pair of two r-word forms grows quadratically"),
-    "chain_weights": (CHAIN_WEIGHTS_MAX_MODULI, "its weights hold O(r^3) bits"),
 }
 
 
@@ -116,7 +111,11 @@ def _require_at_most(route: str, base: ModuliBase):
 
 
 class CrtCoefficients(NamedTuple):
-    """Reconstruction weights: weights[i] * (product / m_i) == 1 mod m_i."""
+    """Reconstruction weights: weights[i] * (product / m_i) == 1 mod m_i.
+
+    A caller may build one; :func:`reconstruct` checks only the length of its
+    ``weights``.
+    """
 
     base: ModuliBase
     weights: tuple[int, ...]
@@ -147,11 +146,11 @@ def sequential_coefficients(base: ModuliBase) -> CrtCoefficients:
     """Weights from the chain of Bezout identities: r - 1 counted calls.
 
     Step j of the chain pairs m_j with P_j, the product of the moduli before
-    it, through alpha_j*m_j + beta_j*P_j == 1 (see :func:`chain_weights`).
-    The weight for position i is beta_i times the product of the later
-    alphas, mod m_i.  Only beta_j mod m_j, the inverse of P_j mod m_j, is
-    ever read, and the alphas only through the invariant below, so neither
-    the pairs nor any product of them is kept.
+    it, through alpha_j*m_j + beta_j*P_j == 1.  The weight for position i is
+    beta_i times the product of the later alphas, mod m_i.  Only beta_j mod
+    m_j, the inverse of P_j mod m_j, is ever read, and the alphas only
+    through the invariant below, so neither the pairs nor any product of
+    them, O(r^3) bits for all r weights, is kept.
 
     The chain is walked one leaf of the base's product tree at a time.  For
     the leaf over the moduli at indices s to e - 1, let p be its product, P_s
@@ -231,40 +230,14 @@ def sequential_coefficients(base: ModuliBase) -> CrtCoefficients:
     return CrtCoefficients(base, tuple(weights), len(weights) - 1)
 
 
-def chain_weights(base: ModuliBase) -> tuple[int, ...]:
-    """The chain's unreduced weights: beta_i times every later alpha.
-
-    The Bezout pairs (alpha_j, beta_j) of the chain, alpha_j*m_j +
-    beta_j*P_j == 1 for P_j the product of the moduli before m_j, come from
-    :func:`_bezout_pair` over the running prefix, one per modulus after the
-    first.  The weights satisfy the telescoping identity
-    sum(w_i * product / m_i) == 1 exactly, and reduce mod m_i to the
-    sequential (and classical) weights.  Weight i carries the product of the
-    later alphas, each about as wide as its prefix, so it has O(r^2) words
-    and the tuple O(r^3): this serves the identity's checks on small bases,
-    not decoding.  Not in ``__all__``, and ValueError for a base of more than
-    ``CHAIN_WEIGHTS_MAX_MODULI`` moduli, before any pair is built.
-    """
-    _require_at_most("chain_weights", base)
-    moduli = base.moduli
-    prefixes = accumulate(moduli[:-1], operator.mul)
-    pairs = list(map(_bezout_pair, moduli[1:], prefixes))
-    weights = []
-    suffix = 1
-    for alpha, beta in reversed(pairs):
-        weights.append(beta * suffix)
-        suffix *= alpha
-    weights.append(suffix)
-    return tuple(reversed(weights))
-
-
 class GarnerConverter(NamedTuple):
     """Mixed-radix decoder over one radix inverse per modulus.
 
     ``radix_inverses[j]`` is C_j = (m_0 * ... * m_{j-1})^-1 mod m_j, the
     product of the pairwise inverses m_i^-1 mod m_j for i < j; C_0 = 1.
     Building it costs r(r-1)/2 inversions, the converter keeps these r ints,
-    and a decode takes O(r) big-int steps.
+    and a decode takes O(r) big-int steps.  A caller may build one;
+    :meth:`decode` checks only the length of its ``radix_inverses``.
     """
 
     base: ModuliBase
@@ -279,6 +252,7 @@ class GarnerConverter(NamedTuple):
         d_j * P_j.
         """
         _require_same_base(vector.base, self.base)
+        _require_one_per_modulus(self.radix_inverses, "radix inverses", self.base)
         value, radix = 0, 1
         for x, m, c in zip(vector.residues, self.base.moduli, self.radix_inverses):
             value += (x - value % m) * c % m * radix
@@ -318,6 +292,7 @@ def reconstruct(vector: CrrVector, coefficients: CrtCoefficients) -> int:
     """The unique integer in [0, product) with the vector's residues."""
     _require_same_base(vector.base, coefficients.base)
     base = coefficients.base
+    _require_one_per_modulus(coefficients.weights, "weights", base)
     weighted = map(operator.mul, vector.residues, coefficients.weights)
     return base._tree.combine(weighted) % base.product
 
@@ -400,9 +375,9 @@ def _first_coprime_draw(base: ModuliBase, rng, n2_bound: int, max_attempts: int)
 def _bezout_pair(a: int, b: int) -> tuple[int, int]:
     """The pair (u, v) that extended Euclid returns for coprime a, b >= 1.
 
-    The random route takes one for its two forms, and :func:`chain_weights`
-    one per step of the chain; :func:`sequential_coefficients` needs only the
-    chain's v mod a, so it inverts without building the pairs.
+    The random route takes one for its two forms, its one caller here;
+    :func:`sequential_coefficients` needs only v mod a of each step of its
+    chain, so it inverts without building the pairs.
 
     u is the inverse of a mod b taken in (-b/2, b/2], and v follows from
     u*a + v*b == 1.  Euclid's own coefficients satisfy |u| <= b/2 (Knuth,
@@ -432,6 +407,7 @@ def probabilistic_reconstruct(
     divides every cofactor and so every form; else AttemptsExhaustedError.
     """
     _require_at_most("prob", vector.base)
+    _require_rng(rng)
     base = vector.base
     n2_bound = check_form_bounds(base, n2_bound, max_attempts)
     found = _first_coprime_draw(base, rng, n2_bound, max_attempts)
@@ -461,13 +437,14 @@ def coprime_form_stats(
     """``trials`` coprime-form trials in turn, all drawn from ``rng``.
 
     Each trial draws form pairs as :func:`probabilistic_reconstruct` does,
-    until their sums are coprime.  The bounds and ``trials``, an int of at
-    least 1, are checked once, before the first draw.  Returns (first-draw
-    hits, total attempts, exhausted trials); an exhausted trial counts
-    ``max_attempts`` attempts.
+    until their sums are coprime.  The bounds, ``trials``, an int of at
+    least 1, and ``rng`` are checked once, before the first draw.  Returns
+    (first-draw hits, total attempts, exhausted trials); an exhausted trial
+    counts ``max_attempts`` attempts.
     """
     n2_bound = check_form_bounds(base, n2_bound, max_attempts)
     require_positive(trials, "trials")
+    _require_rng(rng)
     hits = attempts_total = exhausted = 0
     for _ in range(trials):
         found = _first_coprime_draw(base, rng, n2_bound, max_attempts)
@@ -483,3 +460,16 @@ def coprime_form_stats(
 def _require_same_base(a: ModuliBase, b: ModuliBase):
     if a is not b and a.moduli != b.moduli:
         raise BaseMismatchError("vector and converter use different moduli bases")
+
+
+def _require_one_per_modulus(values: tuple, what: str, base: ModuliBase):
+    """ValueError unless a tuple zipped with the residues has one value per modulus."""
+    r, n = len(base), len(values)
+    if n != r:
+        raise ValueError(f"expected {r} {what}, one per modulus, not {n}")
+
+
+def _require_rng(rng):
+    """TypeError unless ``rng`` has the ``getrandbits`` that every draw calls."""
+    if not callable(getattr(rng, "getrandbits", None)):
+        raise type_error(rng, "rng", "a generator with a getrandbits method")

@@ -22,7 +22,7 @@ import re
 import sys
 from typing import Iterator, NoReturn
 
-from .errors import BaseMismatchError, ParseError, excerpt, excerpt_int, int_repr
+from .errors import BaseMismatchError, ParseError, excerpt, excerpt_int, int_repr, type_error
 from .moduli import ModuliBase, _require_int
 
 __all__ = [
@@ -134,6 +134,8 @@ def serialize(vector: CrrVector) -> str:
     A modulus or residue past ``sys.get_int_max_str_digits()`` digits raises
     the interpreter's ``ValueError``, as ``str()`` does.
     """
+    if not isinstance(vector, CrrVector):
+        raise type_error(vector, "vector", "a CrrVector")
     res = " ".join(map(str, vector.residues))
     return f"{MAGIC}\n{format_base_line(vector.base)}\nres {res}\n"
 
@@ -160,6 +162,8 @@ def format_base_line(base: ModuliBase) -> str:
     A modulus past ``sys.get_int_max_str_digits()`` digits raises the
     interpreter's ``ValueError``, as ``str()`` does.
     """
+    if not isinstance(base, ModuliBase):
+        raise type_error(base, "base", "a ModuliBase")
     return "".join(base_line_pieces(len(base.moduli), [base.moduli]))
 
 

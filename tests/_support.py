@@ -238,6 +238,24 @@ def reference_chain_pairs(base: ModuliBase) -> tuple[tuple[int, int], ...]:
     )
 
 
+def chain_weights(base: ModuliBase) -> tuple[int, ...]:
+    """The chain's unreduced weights: beta_i times every later alpha.
+
+    Built from :func:`reference_chain_pairs`, they satisfy the telescoping
+    identity sum(w_i * product / m_i) == 1 exactly and reduce mod m_i to the
+    sequential (and classical) weights.  Weight i carries the product of the
+    later alphas, each about as wide as its prefix, so it has O(r^2) words
+    and the tuple O(r^3) bits: for small bases only.
+    """
+    weights = []
+    suffix = 1
+    for alpha, beta in reversed(reference_chain_pairs(base)):
+        weights.append(beta * suffix)
+        suffix *= alpha
+    weights.append(suffix)
+    return tuple(reversed(weights))
+
+
 def reference_sequential_weights(base: ModuliBase) -> tuple[int, ...]:
     """The chain's weights by the wide back-walk: the running product of
     alphas is multiplied in and reduced modulo the prefix product at each step.

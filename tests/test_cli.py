@@ -27,6 +27,7 @@ from crrkit import (
     parse_base_line,
     prime_base,
     probabilistic_reconstruct,
+    sequential_coefficients,
 )
 from crrkit.cli import main
 from _support import reference_main, run_python
@@ -874,6 +875,15 @@ def test_selftest_deterministic(capsys):
     first = run(capsys, "selftest", "--seed", "5")
     second = run(capsys, "selftest", "--seed", "5")
     assert first == second
+
+
+def test_selftest_telescoping_stage_catches_one_wrong_weight():
+    coefficients = sequential_coefficients(prime_base(12))
+    cli._self_telescoping(coefficients)
+    weights = list(coefficients.weights)
+    weights[5] = (weights[5] + 1) % coefficients.base.moduli[5]
+    with pytest.raises(CrrError, match="^telescoping identity$"):
+        cli._self_telescoping(coefficients._replace(weights=tuple(weights)))
 
 
 # --- parser level ---

@@ -161,7 +161,6 @@ def test_every_name_the_benchmark_reads_is_public(script):
 @pytest.mark.parametrize(
     "module, name",
     [
-        ("crrkit.reconstruct", "chain_weights"),
         ("crrkit.division", "build_scaler"),
         ("crrkit.division", "series_numerators"),
     ],

@@ -18,6 +18,7 @@ from crrkit import (
     AttemptsExhaustedError,
     BaseMismatchError,
     CrrVector,
+    CrtCoefficients,
     ModuliBase,
     classical_coefficients,
     coprime_form_stats,
@@ -30,9 +31,10 @@ from crrkit import (
     reconstruct,
     sequential_coefficients,
 )
-from crrkit.reconstruct import _bezout_pair, _draw_coefficients, chain_weights
+from crrkit.reconstruct import _bezout_pair, _draw_coefficients
 from _support import (
     brute_force_crt,
+    chain_weights,
     extended_gcd,
     prefix_products,
     random_coprime_base,
@@ -202,26 +204,6 @@ def test_sequential_weights_reduce_chain_weights():
         assert coeffs.weights == tuple(w % m for w, m in zip(exact, base.moduli))
 
 
-def test_chain_weights_refuses_a_base_past_its_cap_before_any_pair(monkeypatch):
-    module = sys.modules["crrkit.reconstruct"]
-    calls = Counter()
-
-    def counting_bezout_pair(a, b):
-        calls["pair"] += 1
-        return _bezout_pair(a, b)
-
-    monkeypatch.setattr(module, "_bezout_pair", counting_bezout_pair)
-    assert len(chain_weights(prime_base(12))) == 12
-    assert calls["pair"] == 11  # the counter sees the chain's pairs
-    calls.clear()
-    cap = module.CHAIN_WEIGHTS_MAX_MODULI
-    assert cap == 256
-    with pytest.raises(ValueError, match="^chain_weights takes at most 256 moduli, not 257:"):
-        chain_weights(prime_base(cap + 1))
-    assert calls["pair"] == 0
-
-
-
 class Reached(Exception):
     """Raised by a stand-in for a route's first costly call."""
 
@@ -255,15 +237,8 @@ ROUTES = sys.modules["crrkit.reconstruct"]
             ROUTES.PROB_MAX_MODULI,
             "its Bezout pair of two r-word forms grows quadratically",
         ),
-        (
-            "chain_weights",
-            chain_weights,
-            "_bezout_pair",
-            ROUTES.CHAIN_WEIGHTS_MAX_MODULI,
-            "its weights hold O(r^3) bits",
-        ),
     ],
-    ids=["garner", "sequential", "prob", "chain_weights"],
+    ids=["garner", "sequential", "prob"],
 )
 def test_each_capped_route_refuses_past_its_cap_before_any_work(
     monkeypatch, route, build, first_costly_call, top, why
@@ -280,6 +255,13 @@ def test_each_capped_route_refuses_past_its_cap_before_any_work(
     assert "_tree" not in vars(base)
     with pytest.raises(Reached):
         build(prime_base(top))
+
+
+def test_only_the_decoding_routes_have_caps():
+    # the chain's unreduced weights, O(r^3) bits, are a test oracle only
+    assert not hasattr(ROUTES, "chain_weights")
+    assert not hasattr(ROUTES, "CHAIN_WEIGHTS_MAX_MODULI")
+    assert set(ROUTES._CAPS) == {"garner", "sequential", "prob"}
 
 
 CHAIN_PRIMES = [nth_prime(i) for i in range(1, 100)]
@@ -632,6 +614,28 @@ def test_reconstruct_base_mismatch():
         reconstruct(encode(1, prime_base(3)), classical_coefficients(BASE_357))
 
 
+def test_reconstruct_refuses_weights_not_one_per_modulus():
+    base = prime_base(2)
+    vector = encode(3, base)
+    for weights in ((1,), (1, 2, 3)):
+        message = f"^expected 2 weights, one per modulus, not {len(weights)}$"
+        with pytest.raises(ValueError, match=message):
+            reconstruct(vector, CrtCoefficients(base, weights, 2))
+    assert reconstruct(vector, classical_coefficients(base)) == 3
+
+
+def test_garner_decode_refuses_radix_inverses_not_one_per_modulus():
+    base = prime_base(3)
+    converter = garner_converter(base)
+    vector = encode(300, base)
+    inverses = converter.radix_inverses
+    for wrong in (inverses[:1], inverses + (1,)):
+        message = f"^expected 3 radix inverses, one per modulus, not {len(wrong)}$"
+        with pytest.raises(ValueError, match=message):
+            converter._replace(radix_inverses=wrong).decode(vector)
+    assert converter.decode(vector) == 300
+
+
 def test_round_trip_all_routes_random_bases():
     rng = random.Random(36)
     for _ in range(10):
@@ -919,6 +923,12 @@ def test_coprime_form_attempts_rejects_bad_bounds():
             coprime_form_stats(base, rng, 3, n2_bound=bound)
         with pytest.raises(TypeError, match=f"^n2_bound {named} is not an int$"):
             probabilistic_reconstruct(encode(5, base), random.Random(44), bound)
+    for generator, named in ((None, "None"), (7, "7"), ("rng", "'rng'")):
+        message = f"^rng {named} is not a generator with a getrandbits method$"
+        with pytest.raises(TypeError, match=message):
+            coprime_form_stats(base, generator, 3)
+        with pytest.raises(TypeError, match=message):
+            probabilistic_reconstruct(encode(5, base), generator)
     for attempts, named in ((2.0, "2.0"), (True, "True"), ("2", "'2'")):
         with pytest.raises(TypeError, match=f"^max_attempts {named} is not an int$"):
             coprime_form_stats(base, rng, 3, max_attempts=attempts)

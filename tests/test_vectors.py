@@ -99,6 +99,10 @@ def test_mismatched_bases_raise():
         encode(1, BASE_357) + encode(1, BASE_5_7_11)
     with pytest.raises(TypeError):
         encode(1, BASE_357) + 5  # an int is not a vector over any base
+    with pytest.raises(TypeError, match="^vector None is not a CrrVector$"):
+        serialize(None)
+    with pytest.raises(TypeError, match="^base 5 is not a ModuliBase$"):
+        format_base_line(5)
     # structurally equal bases are fine even when not the same object
     twin = ModuliBase.from_moduli([3, 5, 7])
     assert (encode(2, BASE_357) + encode(3, twin)) == encode(5, BASE_357)
@@ -399,6 +403,13 @@ def test_non_int_value_of_many_characters_gets_a_short_message(length):
         encode(text, BASE_5_7_11)
     shown = f"'{'7' * 19}... ({length + 2} chars)"  # the repr, quotes included
     assert str(info.value) == f"value {shown} is not an int"
+    for call, what, kind in (
+        (serialize, "vector", "a CrrVector"),
+        (format_base_line, "base", "a ModuliBase"),
+    ):
+        with pytest.raises(TypeError) as info:
+            call(text)
+        assert str(info.value) == f"{what} {shown} is not {kind}"
 
 
 def test_formatters_past_the_digit_limit_keep_the_interpreters_error():
