@@ -29,6 +29,7 @@ from .reconstruct import (
     garner_converter,
     probabilistic_reconstruct,
     reconstruct,
+    require_affordable,
     sequential_coefficients,
 )
 from .vectors import base_line_pieces, encode, parse, parse_base_line, serialize
@@ -39,16 +40,6 @@ FAILURE_EXIT = 3
 REFERENCE_COPRIME_RATE = 6 / math.pi**2
 
 METHODS = ("classical", "sequential", "garner", "prob")
-
-# prob-stats charges a trial over r moduli 16 + r + r*words // 8 +
-# (r + 4*words)**2 // 2048 units, for the whole 64-bit words of --n2-bound
-# past the first (none at the default bound, which stays under 2**40 for
-# every r): a fixed part, draws and combines that grow about linearly in r
-# and in the coefficients' bits, and a gcd of the two forms, about
-# 16*r + 64*words bits wide, that grows quadratically.  A unit took 1-3 us
-# (2-vCPU VM, Python 3.11.7): a run at the budget's edge took 0.3-1.5 s for
-# r from 1 to 8192 at any --n2-bound
-PROB_STATS_BUDGET = 2**19
 
 
 def _seed_arg(text: str) -> int:
@@ -342,14 +333,8 @@ def _cmd_div(args) -> int:
 
 
 def _cmd_prob_stats(args) -> int:
-    r, words = args.r, (args.n2_bound or 0).bit_length() // 64
-    per_trial = 16 + r + r * words // 8 + (r + 4 * words) ** 2 // 2048
-    if args.trials * per_trial > PROB_STATS_BUDGET:
-        raise ValueError(
-            f"--trials times {per_trial}, the charge per trial for this --r and "
-            f"--n2-bound, is above the prob-stats budget of {PROB_STATS_BUDGET}: "
-            f"they allow {PROB_STATS_BUDGET // per_trial} trials"
-        )
+    bound_bits = (args.n2_bound or 0).bit_length()
+    require_affordable("prob-stats", args.r, bound_bits, runs=args.trials)
     base = prime_base(args.r)
     bound = check_form_bounds(base, args.n2_bound, args.max_attempts)
     trials = args.trials

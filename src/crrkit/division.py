@@ -54,10 +54,8 @@ def _require_layout_bits(n: int) -> int:
 
 
 # Largest operand bit size that divide and build_plan accept.  A plan's cost
-# grows a little faster than n**3: the series reaches about n**2 bits, and
-# the strict layout sieves about n**2 / log2(n) primes.  One cold
-# `crrkit div --n N` took 0.56 s (adaptive) and 0.87 s (strict) at N = 1000,
-# 4.5 s and 7.8 s at N = 2000, on a 2-vCPU VM under Python 3.11.7.
+# grows a little faster than n**3: its series is a fraction of about n**2
+# bits, and the strict layout sieves about n**2 / log2(n) primes.
 MAX_DIVISION_BITS = 2048
 
 
@@ -133,7 +131,11 @@ def adaptive_group_size(n: int) -> int:
 
 
 class GroupBoundReport(NamedTuple):
-    """Whether the first extension modulus alone certifies the group floor."""
+    """Whether the first extension modulus alone certifies the group floor.
+
+    :func:`group_bound_report` returns one.  A caller may build one, but no
+    function takes one back.
+    """
 
     n: int
     group_size: int
@@ -150,7 +152,11 @@ def group_bound_report(n: int) -> GroupBoundReport:
 
 
 class Scaler(NamedTuple):
-    """Divisor normalizer: value = 2**pow2 * (product of first prefix_len moduli)."""
+    """Divisor normalizer: value = 2**pow2 * (product of first prefix_len moduli).
+
+    :func:`build_scaler` returns one.  A caller may build one, but no
+    function takes one back.
+    """
 
     prefix_len: int
     pow2: int
@@ -236,7 +242,11 @@ def _series_from(numerators, groups) -> tuple[int, int]:
 
 
 class DivisionPlan(NamedTuple):
-    """Everything the division of n-bit operands by one divisor needs."""
+    """Everything the division of n-bit operands by one divisor needs.
+
+    :func:`build_plan` returns one, with its series checked.  A caller may
+    build one, but no function takes one back.
+    """
 
     bit_size: int
     base: ModuliBase
@@ -258,14 +268,20 @@ class DivisionPlan(NamedTuple):
 
 
 class DivideResult(NamedTuple):
-    """The floor quotient, whether the one-off correction fired, and the plan."""
+    """The floor quotient, whether the one-off correction fired, and the plan.
+
+    :func:`divide` returns one.  A caller may build one, but no function
+    takes one back.
+    """
 
     quotient: int
     correction_applied: bool
     plan: DivisionPlan | None
 
 
-@lru_cache(maxsize=16)
+# One entry: each layout pins its whole prime base (12.5 MiB traced at
+# n = 2048 adaptive), and a process divides at one (n, mode) at a time.
+@lru_cache(maxsize=1)
 def _static_parts(n: int, mode: str):
     """The plan's layout for n and mode: (base, group size, group products).
 

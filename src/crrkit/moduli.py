@@ -87,6 +87,16 @@ def _require_int(value, what: str) -> int:
     return operator.index(value)
 
 
+def require_base(base) -> "ModuliBase":
+    """``base``; TypeError naming it unless it is a :class:`ModuliBase`.
+
+    Not in ``__all__``.
+    """
+    if not isinstance(base, ModuliBase):
+        raise type_error(base, "base", "a ModuliBase")
+    return base
+
+
 def require_positive(value, what: str) -> int:
     """:func:`_require_int`, then ValueError unless it is at least 1; not in __all__."""
     value = _require_int(value, what)

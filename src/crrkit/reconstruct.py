@@ -34,9 +34,10 @@ calls, combines the two forms down the product tree and takes one
 other step: the draw, a combine, the gcd, or the value step after it (two
 more combines and two form-sized products).
 
-Every route but the classical one refuses a base past its cap
-(``GARNER_MAX_MODULI`` and the like) with a ValueError, before any other
-work; the command line prints that message as it is.
+Every route but the classical one refuses a base whose cost, read from r,
+its total bits and its widest modulus, is past ``COST_BUDGET``, with a
+ValueError before any other work; the command line prints that message as
+it is.
 """
 
 import math
@@ -45,8 +46,8 @@ from itertools import accumulate, islice, repeat, zip_longest
 from typing import NamedTuple
 
 from .errors import AttemptsExhaustedError, BaseMismatchError, excerpt_int, type_error
-from .moduli import ModuliBase, pairwise_coprime, require_positive
-from .vectors import CrrVector
+from .moduli import ModuliBase, pairwise_coprime, require_base, require_positive
+from .vectors import CrrVector, require_vector
 
 __all__ = [
     "CrtCoefficients",
@@ -78,36 +79,43 @@ def _first_shared_factor(values, moduli) -> int:
     return next(i for i, (a, m) in pairs if math.gcd(a, m) != 1)
 
 
-# The most moduli that each route whose cost grows faster than its input
-# takes.  The route checks its cap as its first step: before its product tree
-# is touched and before any inversion, Bezout pair or draw.  Each doubling of
-# r about quadruples the cost (2-vCPU VM, Python 3.11.7):
-# - garner makes r(r - 1)/2 inversions: 2048 moduli take about 1.2 s;
-GARNER_MAX_MODULI = 2048
-# - sequential walks its chain over prefix products of up to r words, one
-#   leaf of the product tree at a time: a cold decode of 8192 moduli took
-#   0.19 s (18.5 MiB peak RSS), and its memory grows only linearly;
-SEQUENTIAL_MAX_MODULI = 8192
-# - prob takes one Bezout pair of two forms of about r words: 8192 moduli
-#   took 1.0 s (5.2 s at 16384), with a peak of 1 MiB.
-PROB_MAX_MODULI = 8192
-
-# route -> (its cap, why), as a refusal names them
-_CAPS = {
-    "garner": (GARNER_MAX_MODULI, "its r(r - 1)/2 inversions grow quadratically"),
-    "sequential": (
-        SEQUENTIAL_MAX_MODULI,
-        "its chain over the prefix products grows quadratically",
-    ),
-    "prob": (PROB_MAX_MODULI, "its Bezout pair of two r-word forms grows quadratically"),
-}
+# The one budget, in units of about 0.6 us: one inversion modulo a one-word
+# modulus (2-vCPU VM, Python 3.11.7), so about 1.3 s.  Each route whose cost
+# grows faster than its input checks it as its first step, before its product
+# tree, any inversion, Bezout pair or draw; so does prob-stats, before it
+# sieves a prime.
+COST_BUDGET = 2**21
 
 
-def _require_at_most(route: str, base: ModuliBase):
-    """ValueError past ``route``'s cap: the route's first step, before any work."""
-    top, why = _CAPS[route]
-    if len(base) > top:
-        raise ValueError(f"{route} takes at most {top} moduli, not {len(base)}: {why}")
+def _cost(command: str, r: int, t: int, w: int) -> int:
+    """Units for ``command`` on r moduli of t whole 64-bit words in all, the
+    widest of w words; for prob-stats, one trial at a bound of t words."""
+    inversion = 1 + 10 * w + w * w  # one pow modulo a w-word modulus
+    if command == "garner":
+        return r * (r - 1) // 2 * inversion
+    if command == "sequential":  # the inversions, then the prefix products
+        return (r - 1) * inversion + t * t // 16
+    if command == "prob":  # the gcd and Bezout pair of two t-word forms
+        return (t * t + 32 * r) // 2
+    # prob-stats: draws, combines and a gcd of two forms of 16r + 64t bits
+    return 4 * (16 + r + r * t // 8 + (r + 4 * t) ** 2 // 2048)
+
+
+def require_affordable(command: str, r: int, bits: int, widest=0, runs=1):
+    """ValueError when ``runs`` runs of ``command`` cost more than ``COST_BUDGET``;
+    sizes in bits, a prob-stats trial's those of its bound.  Not in ``__all__``."""
+    cost = runs * _cost(command, r, bits >> 6, widest >> 6)
+    if cost > COST_BUDGET:
+        raise ValueError(
+            f"{command} on {r} moduli costs {cost} units, "
+            f"above the budget of {COST_BUDGET}"
+        )
+
+
+def _require_base_affordable(command: str, base: ModuliBase):
+    """The type of ``base``, then ``command``'s cost on its r, total and widest bits."""
+    bits = list(map(int.bit_length, require_base(base).moduli))
+    require_affordable(command, len(bits), sum(bits), max(bits))
 
 
 class CrtCoefficients(NamedTuple):
@@ -132,7 +140,7 @@ def classical_coefficients(base: ModuliBase) -> CrtCoefficients:
     unchecked base fails only at its inversion.
     Only a failure computes the full cofactor, to name it in the message.
     """
-    tree = base._tree
+    tree = require_base(base)._tree
     cofactors = tree.remainders(tree.cofactor_sum())
     try:
         weights = tuple(list(map(pow, cofactors, repeat(-1), base.moduli)))
@@ -184,7 +192,7 @@ def sequential_coefficients(base: ModuliBase) -> CrtCoefficients:
     constant, plus leaf-sized work per modulus.  Memory is linear: r weights,
     the prefix and one leaf-sized remainder per leaf.
     """
-    _require_at_most("sequential", base)
+    _require_base_affordable("sequential", base)
     tree = base._tree
     # weights[j] holds beta_j until the back walk replaces it with w_j;
     # beta_0 = 1 is the inverse of P_0 = 1, so the first leaf skips m_0
@@ -251,7 +259,7 @@ class GarnerConverter(NamedTuple):
         digit j is d_j = (x_j - V mod m_j) * C_j mod m_j, and V grows by
         d_j * P_j.
         """
-        _require_same_base(vector.base, self.base)
+        _require_same_base(require_vector(vector).base, self.base)
         _require_one_per_modulus(self.radix_inverses, "radix inverses", self.base)
         value, radix = 0, 1
         for x, m, c in zip(vector.residues, self.base.moduli, self.radix_inverses):
@@ -280,7 +288,7 @@ def _radix_inverses(moduli):
 
 def garner_converter(base: ModuliBase) -> GarnerConverter:
     """Every pairwise inverse m_i^-1 mod m_j, i < j: r(r-1)/2 counted calls."""
-    _require_at_most("garner", base)
+    _require_base_affordable("garner", base)
     # a tuple grown from the generator, not a list copied into one: the copy
     # would be a second array of r pointers at the peak
     radix_inverses = tuple(_radix_inverses(base.moduli))
@@ -290,7 +298,9 @@ def garner_converter(base: ModuliBase) -> GarnerConverter:
 
 def reconstruct(vector: CrrVector, coefficients: CrtCoefficients) -> int:
     """The unique integer in [0, product) with the vector's residues."""
-    _require_same_base(vector.base, coefficients.base)
+    if not isinstance(coefficients, CrtCoefficients):
+        raise type_error(coefficients, "coefficients", "a CrtCoefficients")
+    _require_same_base(require_vector(vector).base, coefficients.base)
     base = coefficients.base
     _require_one_per_modulus(coefficients.weights, "weights", base)
     weighted = map(operator.mul, vector.residues, coefficients.weights)
@@ -298,7 +308,11 @@ def reconstruct(vector: CrrVector, coefficients: CrtCoefficients) -> int:
 
 
 class LinearFormSample(NamedTuple):
-    """Outcome of one successful random-linear-form draw."""
+    """Outcome of one successful random-linear-form draw.
+
+    :func:`probabilistic_reconstruct` returns one with its value.  A caller
+    may build one, but no function takes one back.
+    """
 
     s: tuple[int, ...]
     t: tuple[int, ...]
@@ -312,7 +326,7 @@ class LinearFormSample(NamedTuple):
 
 def default_n2_bound(base: ModuliBase) -> int:
     """Coefficient range keeping the coprime-success rate near its limit."""
-    log_product = math.ceil(math.log(base.product))
+    log_product = math.ceil(math.log(require_base(base).product))
     return max(1 << 16, 64 * (len(base.moduli) + log_product))
 
 
@@ -406,7 +420,7 @@ def probabilistic_reconstruct(
     Once every attempt fails: ValueError if the moduli share a factor, which
     divides every cofactor and so every form; else AttemptsExhaustedError.
     """
-    _require_at_most("prob", vector.base)
+    _require_base_affordable("prob", require_vector(vector).base)
     _require_rng(rng)
     base = vector.base
     n2_bound = check_form_bounds(base, n2_bound, max_attempts)
@@ -442,7 +456,7 @@ def coprime_form_stats(
     (first-draw hits, total attempts, exhausted trials); an exhausted trial
     counts ``max_attempts`` attempts.
     """
-    n2_bound = check_form_bounds(base, n2_bound, max_attempts)
+    n2_bound = check_form_bounds(require_base(base), n2_bound, max_attempts)
     require_positive(trials, "trials")
     _require_rng(rng)
     hits = attempts_total = exhausted = 0

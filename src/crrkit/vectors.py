@@ -23,7 +23,7 @@ import sys
 from typing import Iterator, NoReturn
 
 from .errors import BaseMismatchError, ParseError, excerpt, excerpt_int, int_repr, type_error
-from .moduli import ModuliBase, _require_int
+from .moduli import ModuliBase, _require_int, require_base
 
 __all__ = [
     "CrrVector",
@@ -52,7 +52,7 @@ class CrrVector:
 
     def __init__(self, base: ModuliBase, residues: tuple[int, ...]):
         residues = tuple(residues)
-        if len(residues) != len(base.moduli):
+        if len(residues) != len(require_base(base).moduli):
             raise ValueError("residue count does not match base length")
         plain = True
         for x, m in zip(residues, base.moduli):
@@ -101,6 +101,23 @@ class CrrVector:
         return f"CrrVector(r={len(self.residues)} over {self.base!r})"
 
 
+def require_vector(vector) -> CrrVector:
+    """``vector``; TypeError naming it unless it is a :class:`CrrVector`.
+
+    Not in ``__all__``.
+    """
+    if not isinstance(vector, CrrVector):
+        raise type_error(vector, "vector", "a CrrVector")
+    return vector
+
+
+def _require_text(text) -> str:
+    """``text``; TypeError unless it is a str, the one type the parsers read."""
+    if not isinstance(text, str):
+        raise type_error(text, "text", "a str")
+    return text
+
+
 def _combine(a: CrrVector, b, op) -> CrrVector:
     if not isinstance(b, CrrVector):
         return NotImplemented
@@ -125,7 +142,8 @@ def _built(base: ModuliBase, residues: tuple[int, ...]) -> CrrVector:
 def encode(value: int, base: ModuliBase) -> CrrVector:
     """Residue vector of ``value`` reduced into [0, product)."""
     # an int subclass may override %, so the tree reduces its plain int
-    return _built(base, base._tree.remainders(_require_int(value, "value")))
+    value = _require_int(value, "value")
+    return _built(base, require_base(base)._tree.remainders(value))
 
 
 def serialize(vector: CrrVector) -> str:
@@ -134,15 +152,13 @@ def serialize(vector: CrrVector) -> str:
     A modulus or residue past ``sys.get_int_max_str_digits()`` digits raises
     the interpreter's ``ValueError``, as ``str()`` does.
     """
-    if not isinstance(vector, CrrVector):
-        raise type_error(vector, "vector", "a CrrVector")
-    res = " ".join(map(str, vector.residues))
+    res = " ".join(map(str, require_vector(vector).residues))
     return f"{MAGIC}\n{format_base_line(vector.base)}\nres {res}\n"
 
 
 def parse(text: str) -> CrrVector:
     """Inverse of :func:`serialize`; rejects any deviation from the format."""
-    if "\r" in text:
+    if "\r" in _require_text(text):
         line = text[: text.index("\r")].count("\n") + 1
         raise ParseError("carriage returns are not allowed", line)
     if not text.endswith("\n"):
@@ -162,9 +178,8 @@ def format_base_line(base: ModuliBase) -> str:
     A modulus past ``sys.get_int_max_str_digits()`` digits raises the
     interpreter's ``ValueError``, as ``str()`` does.
     """
-    if not isinstance(base, ModuliBase):
-        raise type_error(base, "base", "a ModuliBase")
-    return "".join(base_line_pieces(len(base.moduli), [base.moduli]))
+    moduli = require_base(base).moduli
+    return "".join(base_line_pieces(len(moduli), [moduli]))
 
 
 def base_line_pieces(count: int, chunks) -> Iterator[str]:
@@ -180,7 +195,7 @@ def base_line_pieces(count: int, chunks) -> Iterator[str]:
 
 
 def parse_base_line(text: str) -> ModuliBase:
-    body = text[:-1] if text.endswith("\n") else text
+    body = text[:-1] if _require_text(text).endswith("\n") else text
     if "\n" in body or "\r" in body:
         raise ParseError("expected a single base line", 1)
     return _parse_base_fields(body, line_no=1)

@@ -459,3 +459,38 @@ def reference_floor_div_log2(value: int, n: int) -> int:
     while estimate > 0 and n**estimate > 1 << value:
         estimate -= 1
     return estimate
+
+
+# The routes' module, which holds the cost rule; the package's ``reconstruct``
+# attribute is the function of that name.
+ROUTES = sys.modules["crrkit.reconstruct"]
+
+
+def base_cost(command: str, base: ModuliBase) -> int:
+    """The rule's units for ``command`` on ``base``: its r, and its total and
+    widest bits in whole 64-bit words."""
+    bits = [m.bit_length() for m in base.moduli]
+    return ROUTES._cost(command, len(bits), sum(bits) // 64, max(bits) // 64)
+
+
+def largest_affordable_prime_base(command: str) -> int:
+    """The largest r whose ``prime_base(r)`` the rule admits for ``command``,
+    by bisection over the rule's own cost; the cost grows with r."""
+    lo, hi = 1, 1 << 17
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if base_cost(command, crrkit.prime_base(mid)) <= ROUTES.COST_BUDGET:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def wide_mersenne_base() -> ModuliBase:
+    """128 moduli 2**p - 1 for the primes p from 8009 to 9157: 1.1 Mbit in all.
+
+    Distinct prime exponents make them pairwise coprime.  On CPython 3.11 a
+    quadratic route took 6.9-8.0 s on such a base from the command line.
+    """
+    exponents = [p for p in map(nth_prime, range(1000, 1200)) if p > 8000][:128]
+    return ModuliBase(tuple((1 << p) - 1 for p in exponents))

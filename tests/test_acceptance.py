@@ -17,6 +17,7 @@ from crrkit import (
     strict_moduli_count,
 )
 from crrkit import cli
+from crrkit.division import MAX_DIVISION_BITS
 
 from _support import BASES_SEED, UnderApprox, chain_weights, random_coprime_base
 
@@ -92,8 +93,10 @@ def test_criterion_06_reciprocal_series_exact_rationals():
 
 
 def test_criterion_07_group_bound_range():
-    with criterion(7, "group floor holds for all n in [64, 512], fails at n=8"):
-        cli.check_group_bound(64, 512)  # and fails at n = 8: 31**2 = 961 < 2**11
+    label = f"group floor holds for all n in [64, {MAX_DIVISION_BITS}], fails at n=8"
+    with criterion(7, label):
+        # and fails at n = 8: 31**2 = 961 < 2**11
+        cli.check_group_bound(64, MAX_DIVISION_BITS)
 
 
 def test_criterion_08_division_exactness_and_branches():

@@ -30,7 +30,14 @@ from crrkit import (
     sequential_coefficients,
 )
 from crrkit.cli import main
-from _support import reference_main, run_python
+from _support import (
+    ROUTES,
+    base_cost,
+    largest_affordable_prime_base,
+    reference_main,
+    run_python,
+    wide_mersenne_base,
+)
 
 
 def run(capsys, *argv):
@@ -342,61 +349,25 @@ class Reached(Exception):
     """Raised by a stand-in for the first costly call, past every check."""
 
 
-# the routes' module, which holds their caps; the package's ``reconstruct``
-# attribute is the function of that name
-ROUTES = sys.modules["crrkit.reconstruct"]
-
-
-def test_decode_garner_above_the_budget_fails_before_any_inversion(
-    capsys, monkeypatch, tmp_path
-):
-    def reached(moduli):
-        raise Reached(len(moduli))
-
-    # the route holds the cap, so the stand-in is its first costly call
-    monkeypatch.setattr(ROUTES, "_radix_inverses", reached)
-    top = ROUTES.GARNER_MAX_MODULI
-    paths = {r: tmp_path / f"{r}.crr" for r in (top, top + 1)}
-    for r, path in paths.items():
-        argv = ("encode", "--value", "5", "--count", str(r), "--out", str(path))
-        assert run(capsys, *argv)[0] == 0
-    argv = ("decode", "--in", str(paths[top + 1]), "--method", "garner", "--stats")
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err == (
-        f"error: garner takes at most {top} moduli, not {top + 1}: "
-        "its r(r - 1)/2 inversions grow quadratically\n"
-    )
-    with pytest.raises(Reached):
-        main(["decode", "--in", str(paths[top]), "--method", "garner"])
-
-
 @pytest.mark.parametrize(
-    "method, first_costly_call, top, why",
+    "method, first_costly_call",
+    # a module-level pow shadows the builtin for the sequential chain's
+    # inversions, the first costly call of its route
     [
-        (
-            "sequential",
-            "pow",
-            ROUTES.SEQUENTIAL_MAX_MODULI,
-            "its chain over the prefix products grows quadratically",
-        ),
-        (
-            "prob",
-            "_first_coprime_draw",
-            ROUTES.PROB_MAX_MODULI,
-            "its Bezout pair of two r-word forms grows quadratically",
-        ),
+        ("garner", "_radix_inverses"),
+        ("sequential", "pow"),
+        ("prob", "_first_coprime_draw"),
     ],
 )
-def test_decode_above_the_budget_fails_before_any_pair_or_draw(
-    capsys, monkeypatch, tmp_path, method, first_costly_call, top, why
+def test_decode_above_the_budget_fails_before_any_inversion_pair_or_draw(
+    capsys, monkeypatch, tmp_path, method, first_costly_call
 ):
     def reached(*args, **kwargs):
         raise Reached(method)
 
-    # a module-level pow shadows the builtin for the sequential chain's
-    # inversions, the first costly call of its route
+    # the route holds the rule, so the stand-in is its first costly call
     monkeypatch.setattr(ROUTES, first_costly_call, reached, raising=False)
+    top = largest_affordable_prime_base(method)
     paths = {r: tmp_path / f"{r}.crr" for r in (top, top + 1)}
     for r, path in paths.items():
         argv = ("encode", "--value", "5", "--count", str(r), "--out", str(path))
@@ -404,9 +375,34 @@ def test_decode_above_the_budget_fails_before_any_pair_or_draw(
     argv = ("decode", "--in", str(paths[top + 1]), "--method", method, "--stats")
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err == f"error: {method} takes at most {top} moduli, not {top + 1}: {why}\n"
+    cost = base_cost(method, prime_base(top + 1))
+    assert err == (
+        f"error: {method} on {top + 1} moduli costs {cost} units, "
+        f"above the budget of {ROUTES.COST_BUDGET}\n"
+    )
     with pytest.raises(Reached):
         main(["decode", "--in", str(paths[top]), "--method", method])
+
+
+@pytest.fixture(scope="module")
+def wide_crr(tmp_path_factory):
+    """A CRR file of 5 over :func:`wide_mersenne_base`: 331 kB, 128 moduli."""
+    path = tmp_path_factory.mktemp("wide") / "wide.crr"
+    base = wide_mersenne_base()
+    path.write_text(f"CRR1\n{format_base_line(base)}\nres{' 5' * 128}\n")
+    return path
+
+
+@pytest.mark.parametrize("method", ["garner", "sequential", "prob"])
+def test_decode_refuses_a_few_wide_moduli_by_their_bits(capsys, wide_crr, method):
+    # 16 to 64 times under the old count caps; 6.9-8.0 s a route before
+    code, out, err = run(capsys, "decode", "--in", str(wide_crr), "--method", method)
+    cost = base_cost(method, wide_mersenne_base())
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {method} on 128 moduli costs {cost} units, "
+        f"above the budget of {ROUTES.COST_BUDGET}\n"
+    )
 
 
 def test_decode_missing_file_is_usage_error(capsys, tmp_path):
@@ -673,11 +669,13 @@ def test_prob_stats_above_the_budget_fails_before_any_sieve_or_draw(
         raise Reached(count)
 
     monkeypatch.setattr(cli, "prime_base", reached)
-    # the coefficients' whole 64-bit words past the first: the draws and
-    # combines grow with r * words, the gcd with the forms' 16*r + 64*words bits
-    words = int(bound or 0).bit_length() // 64
-    per_trial = 16 + r + r * words // 8 + (r + 4 * words) ** 2 // 2048
-    allowed = cli.PROB_STATS_BUDGET // per_trial
+    bits = int(bound or 0).bit_length()
+    each = ROUTES._cost("prob-stats", r, bits // 64, 0)
+    allowed = ROUTES.COST_BUDGET // each
+    # the charge the one rule replaced, per trial over r moduli, for the
+    # coefficients' whole 64-bit words w: the rule admits exactly its runs
+    w = bits // 64
+    assert allowed == 2**19 // (16 + r + r * w // 8 + (r + 4 * w) ** 2 // 2048)
     flags = ("prob-stats", "--r", str(r)) + (("--n2-bound", bound) if bound else ())
     if allowed:  # 50000 moduli alone are over the budget
         with pytest.raises(Reached):
@@ -686,9 +684,8 @@ def test_prob_stats_above_the_budget_fails_before_any_sieve_or_draw(
         code, out, err = run(capsys, *flags, "--trials", str(trials))
         assert (code, out) == (2, "")
         assert err == (
-            f"error: --trials times {per_trial}, the charge per trial for this --r "
-            f"and --n2-bound, is above the prob-stats budget of "
-            f"{cli.PROB_STATS_BUDGET}: they allow {allowed} trials\n"
+            f"error: prob-stats on {r} moduli costs {trials * each} units, "
+            f"above the budget of {ROUTES.COST_BUDGET}\n"
         )
 
 
@@ -1072,7 +1069,7 @@ _METHOD = st.sampled_from(["classical", "sequential", "garner", "garner", "prob"
 # and "@crr" hold the example's bytes.  Sizes stay small: every count and bit
 # size is at most 40 or far out of range, and --trials is at most 40 or past
 # the prob-stats budget.
-_TRIALS = st.one_of(_TOKEN, st.just(str(cli.PROB_STATS_BUDGET + 1)))
+_TRIALS = st.one_of(_TOKEN, st.just(str(ROUTES.COST_BUDGET + 1)))
 _ARGV = st.one_of(
     _argv("gen-base", "--count", _TOKEN, _OUT),
     _argv("encode", "--value", _TOKEN, "--count", _TOKEN, _OUT),

@@ -1,10 +1,12 @@
 """Division pipeline: scaler, groups, series, and exact quotients."""
 
+import gc
 import math
 import random
 import re
 import sys
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -634,3 +636,13 @@ def test_plan_reciprocal_gap_bound():
         num, den = plan.series
         gap = Fraction(plan.scaler.value, y) - Fraction(num, den)
         assert 0 <= gap <= Fraction(1, 1 << 16)
+
+
+def test_the_layout_cache_keeps_only_the_last_layout():
+    # each layout pins its whole prime base: 30,663 primes at n = 512 strict
+    plan = divide((1 << 511) + 5, 3**200, 512, "strict").plan
+    first = weakref.ref(plan.base)
+    del plan
+    assert divide(1000, 7, 64, "strict").quotient == 142
+    gc.collect()
+    assert first() is None

@@ -31,11 +31,15 @@ from crrkit import (
     reconstruct,
     sequential_coefficients,
 )
+from crrkit import cli
 from crrkit.reconstruct import _bezout_pair, _draw_coefficients
 from _support import (
+    ROUTES,
+    base_cost,
     brute_force_crt,
     chain_weights,
     extended_gcd,
+    largest_affordable_prime_base,
     prefix_products,
     random_coprime_base,
     reference_chain_pairs,
@@ -46,6 +50,7 @@ from _support import (
     reference_probabilistic_reconstruct,
     reference_sequential_weights,
     shown_int,
+    wide_mersenne_base,
     word_walk_sequential_weights,
 )
 
@@ -208,48 +213,43 @@ class Reached(Exception):
     """Raised by a stand-in for a route's first costly call."""
 
 
-ROUTES = sys.modules["crrkit.reconstruct"]
-
-
-@pytest.mark.parametrize(
-    "route, build, first_costly_call, top, why",
-    [
-        (
-            "garner",
-            garner_converter,
-            "_radix_inverses",
-            ROUTES.GARNER_MAX_MODULI,
-            "its r(r - 1)/2 inversions grow quadratically",
-        ),
-        (
-            "sequential",
-            sequential_coefficients,
-            "pow",  # a module-level pow shadows the builtin for its inversions
-            ROUTES.SEQUENTIAL_MAX_MODULI,
-            "its chain over the prefix products grows quadratically",
-        ),
-        (
-            "prob",
-            lambda base: probabilistic_reconstruct(
-                CrrVector(base, (0,) * len(base)), random.Random(0)
-            ),
-            "_first_coprime_draw",
-            ROUTES.PROB_MAX_MODULI,
-            "its Bezout pair of two r-word forms grows quadratically",
-        ),
-    ],
-    ids=["garner", "sequential", "prob"],
-)
-def test_each_capped_route_refuses_past_its_cap_before_any_work(
-    monkeypatch, route, build, first_costly_call, top, why
-):
+def _stand_in(route):
     def reached(*args):
         raise Reached(route)
 
-    monkeypatch.setattr(ROUTES, first_costly_call, reached, raising=False)
+    return reached
+
+
+def _prob(base):
+    return probabilistic_reconstruct(CrrVector(base, (0,) * len(base)), random.Random(0))
+
+
+CAPPED_ROUTES = pytest.mark.parametrize(
+    "route, build, first_costly_call",
+    [
+        ("garner", garner_converter, "_radix_inverses"),
+        # a module-level pow shadows the builtin for its inversions
+        ("sequential", sequential_coefficients, "pow"),
+        ("prob", _prob, "_first_coprime_draw"),
+    ],
+    ids=["garner", "sequential", "prob"],
+)
+
+
+@CAPPED_ROUTES
+def test_each_capped_route_refuses_past_the_budget_before_any_work(
+    monkeypatch, route, build, first_costly_call
+):
+    monkeypatch.setattr(ROUTES, first_costly_call, _stand_in(route), raising=False)
+    top = largest_affordable_prime_base(route)
     # a fresh base, whose product tree nothing has built yet
     base = ModuliBase(prime_base(top + 1).moduli)
-    message = f"{route} takes at most {top} moduli, not {top + 1}: {why}"
+    cost = base_cost(route, base)
+    assert base_cost(route, prime_base(top)) <= ROUTES.COST_BUDGET < cost
+    message = (
+        f"{route} on {top + 1} moduli costs {cost} units, "
+        f"above the budget of {ROUTES.COST_BUDGET}"
+    )
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build(base)
     assert "_tree" not in vars(base)
@@ -257,11 +257,30 @@ def test_each_capped_route_refuses_past_its_cap_before_any_work(
         build(prime_base(top))
 
 
-def test_only_the_decoding_routes_have_caps():
-    # the chain's unreduced weights, O(r^3) bits, are a test oracle only
-    assert not hasattr(ROUTES, "chain_weights")
-    assert not hasattr(ROUTES, "CHAIN_WEIGHTS_MAX_MODULI")
-    assert set(ROUTES._CAPS) == {"garner", "sequential", "prob"}
+@CAPPED_ROUTES
+def test_each_capped_route_refuses_a_few_wide_moduli_before_any_work(
+    monkeypatch, route, build, first_costly_call
+):
+    # 128 moduli, 16 to 64 times under the old count caps, but 1.1 Mbit
+    monkeypatch.setattr(ROUTES, first_costly_call, _stand_in(route), raising=False)
+    base = wide_mersenne_base()
+    with pytest.raises(ValueError, match=f"^{route} on 128 moduli costs "):
+        build(base)
+    assert base_cost(route, base) > 8 * ROUTES.COST_BUDGET
+    assert "_tree" not in vars(base)
+
+
+def test_one_cost_rule_admits_every_size_the_count_caps_did():
+    # the count caps it replaced: garner 2048 moduli, sequential and prob 8192
+    assert largest_affordable_prime_base("garner") == 2048
+    assert largest_affordable_prime_base("sequential") >= 8192
+    assert largest_affordable_prime_base("prob") >= 8192
+    for name in (
+        "GARNER_MAX_MODULI", "SEQUENTIAL_MAX_MODULI", "PROB_MAX_MODULI",
+        "CHAIN_WEIGHTS_MAX_MODULI", "_CAPS", "_require_at_most", "chain_weights",
+    ):
+        assert not hasattr(ROUTES, name)
+    assert not hasattr(cli, "PROB_STATS_BUDGET")
 
 
 CHAIN_PRIMES = [nth_prime(i) for i in range(1, 100)]
