@@ -110,7 +110,8 @@ class ModuliBase:
 
     Only :meth:`from_moduli` checks that the moduli are pairwise coprime.
     Immutable, and equal to another base with the same moduli.  It keeps an
-    instance ``__dict__`` for its cached properties.
+    instance ``__dict__`` for its cached properties and, on a base that
+    ``crrkit.vectors`` parsed, the base line it was parsed from.
     """
 
     __match_args__ = ("moduli",)
@@ -186,19 +187,21 @@ class _ProductTree:
     leaf, and ``levels`` pairs them up to the single root, the base product.
     An odd last node is carried up unchanged, so node i of a level has parent
     i >> 1 and sibling i ^ 1 when that exists.  ``chunk_cofactors`` holds each
-    chunk's in-chunk cofactors, chunk product / m.  The tree costs
-    O(bits * log r) memory, against O(r * bits) for the full cofactors.
+    chunk's in-chunk cofactors, chunk product / m, and ``leaf_sums`` each
+    chunk's sum of them, sum(p / m).  The tree costs O(bits * log r) memory,
+    against O(r * bits) for the full cofactors.
 
     It has two walks: up, from one sum per leaf to the root, and
     :meth:`remainders` down.  :meth:`combine` starts the up-walk from each
-    chunk's weighted cofactor sum, and :meth:`cofactor_sum` from the plain
-    leaf sums sum(p / m), to S = sum(product / m_j).  S is congruent to
-    product / m_i modulo m_i, so ``remainders(cofactor_sum())`` gives every
-    cofactor mod its modulus; and :meth:`pairwise_coprime` tests each leaf
-    against its own leaf sum.
+    chunk's weighted cofactor sum, and :meth:`cofactor_sum` from the leaf
+    sums, to S = sum(product / m_j).  S is congruent to product / m_i modulo
+    m_i, so ``remainders(cofactor_sum())`` gives every cofactor mod its
+    modulus; and :meth:`pairwise_coprime` tests each leaf against its own
+    leaf sum.  A parsed base takes both: its coprimality check, then the
+    classical weights read the same leaf sums.
     """
 
-    __slots__ = ("chunks", "chunk_cofactors", "levels")
+    __slots__ = ("chunks", "chunk_cofactors", "leaf_sums", "levels")
 
     def __init__(self, moduli: tuple[int, ...]):
         self.chunks = [moduli[i : i + _CHUNK] for i in range(0, len(moduli), _CHUNK)]
@@ -206,6 +209,7 @@ class _ProductTree:
         self.chunk_cofactors = [
             [p // m for m in chunk] for p, chunk in zip(level, self.chunks)
         ]
+        self.leaf_sums = list(map(sum, self.chunk_cofactors))
         self.levels = [level]
         while len(level) > 1:
             pairs = list(map(operator.mul, level[::2], level[1::2]))
@@ -224,7 +228,7 @@ class _ProductTree:
         only the modulus m and the sum divides every other p / m', so p / m,
         which the other moduli make up.
         """
-        leaves = (self.levels[0], map(sum, self.chunk_cofactors))
+        leaves = (self.levels[0], self.leaf_sums)
         # map stops at the shorter side, so a carried node is skipped
         siblings = ((level[::2], level[1::2]) for level in self.levels[:-1])
         return all(
@@ -249,7 +253,7 @@ class _ProductTree:
 
     def cofactor_sum(self) -> int:
         """S = sum(product / m_i), what ``combine`` gives for all ones."""
-        return self._up(list(map(sum, self.chunk_cofactors)))
+        return self._up(self.leaf_sums)
 
     def _up(self, sums: list[int]) -> int:
         """The root's sum from one sum per leaf.

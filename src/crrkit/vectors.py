@@ -147,10 +147,11 @@ def encode(value: int, base: ModuliBase) -> CrrVector:
 
 
 def serialize(vector: CrrVector) -> str:
-    """The CRR1 text of ``vector``.
+    """The CRR1 text of ``vector``; its base line is :func:`format_base_line`'s.
 
-    A modulus or residue past ``sys.get_int_max_str_digits()`` digits raises
-    the interpreter's ``ValueError``, as ``str()`` does.
+    A residue past ``sys.get_int_max_str_digits()`` digits raises the
+    interpreter's ``ValueError``, as ``str()`` does, and so does a modulus
+    past it unless the base was parsed, whose line is reused as it is.
     """
     res = " ".join(map(str, require_vector(vector).residues))
     return f"{MAGIC}\n{format_base_line(vector.base)}\nres {res}\n"
@@ -175,11 +176,16 @@ def parse(text: str) -> CrrVector:
 def format_base_line(base: ModuliBase) -> str:
     """The base line of ``base``, without its newline.
 
-    A modulus past ``sys.get_int_max_str_digits()`` digits raises the
-    interpreter's ``ValueError``, as ``str()`` does.
+    A base that :func:`parse_base_line` or :func:`parse` built keeps the line
+    it was parsed from, already canonical, and this returns it unconverted.
+    Any other base formats its moduli, and there a modulus past
+    ``sys.get_int_max_str_digits()`` digits raises the interpreter's
+    ``ValueError``, as ``str()`` does.
     """
-    moduli = require_base(base).moduli
-    return "".join(base_line_pieces(len(moduli), [moduli]))
+    line = vars(require_base(base)).get("_line")
+    if line is None:
+        line = "".join(base_line_pieces(len(base.moduli), [base.moduli]))
+    return line
 
 
 def base_line_pieces(count: int, chunks) -> Iterator[str]:
@@ -268,9 +274,12 @@ def _parse_base_fields(line: str, line_no: int) -> ModuliBase:
             position,
         ) from None
     try:
-        return ModuliBase.from_moduli(moduli)
+        base = ModuliBase.from_moduli(moduli)
     except ValueError as exc:
         raise ParseError(str(exc), line_no, 3) from exc
+    # the line passed as canonical, so it is what format_base_line would write
+    vars(base)["_line"] = line
+    return base
 
 
 def _raise_res_error(tokens, base: ModuliBase, line_no: int) -> NoReturn:

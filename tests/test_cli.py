@@ -405,6 +405,31 @@ def test_decode_refuses_a_few_wide_moduli_by_their_bits(capsys, wide_crr, method
     )
 
 
+def test_decode_prob_charges_the_n2_bound(capsys, monkeypatch, tmp_path):
+    # on 8192 primes, whose default bound is admitted, a 4,299-digit bound
+    # took 1.60 s against the budget's 1.3 s
+    def reached(*args, **kwargs):
+        raise Reached("prob")
+
+    monkeypatch.setattr(ROUTES, "_first_coprime_draw", reached)
+    path = tmp_path / "v.crr"
+    argv = ("encode", "--value", "5", "--count", "8192", "--out", str(path))
+    assert run(capsys, *argv)[0] == 0
+    argv = ("decode", "--in", str(path), "--method", "prob")
+    # 1953 words of moduli and 223 of the bound; then 29 and 30 words, the
+    # widest bound admitted and the narrowest refused
+    for bound, cost in (("1" + "0" * 4298, 2498560), (str(1 << 64 * 30), 2097216)):
+        code, out, err = run(capsys, *argv, "--n2-bound", bound)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: prob on 8192 moduli costs {cost} units, "
+            f"above the budget of {ROUTES.COST_BUDGET}\n"
+        )
+    for bound in (str(1 << 64 * 29), None):
+        with pytest.raises(Reached):
+            main([*argv, "--n2-bound", bound] if bound else argv)
+
+
 def test_decode_missing_file_is_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, "decode", "--in", str(tmp_path / "nope.crr"))
     assert code == 2

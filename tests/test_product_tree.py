@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import crrkit.moduli
 from crrkit import (
     CrrVector,
     ModuliBase,
@@ -110,6 +111,25 @@ def test_cofactor_sum_gives_the_classical_cofactors_on_any_base(moduli):
     )
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         classical_coefficients(base)
+
+
+@pytest.mark.parametrize("r", [1, W - 1, W, W + 1, 2 * W + 1])
+def test_one_list_of_leaf_sums_serves_the_coprimality_check_and_cofactor_sum(
+    monkeypatch, r
+):
+    base = ModuliBase(prime_base(r).moduli)
+    tree = base._tree
+    assert tree.leaf_sums == [sum(c) for c in tree.chunk_cofactors]
+    cofactors = combined_cofactors(base)
+    # once the tree is built, neither reader sums a chunk again: a
+    # module-level sum shadows the builtin for both
+    monkeypatch.setattr(crrkit.moduli, "sum", _no_sum, raising=False)
+    assert tree.pairwise_coprime()
+    assert tree.remainders(tree.cofactor_sum()) == cofactors
+
+
+def _no_sum(*args):
+    raise AssertionError("a chunk was summed again")
 
 
 @pytest.mark.parametrize(

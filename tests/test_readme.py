@@ -52,3 +52,19 @@ def test_readme_examples_print_what_the_readme_shows(capsys, monkeypatch, tmp_pa
         "check-bound", "selftest",
     ]
     exec(code_block("Library", "python"), {})
+
+
+def test_paper_claims_name_tests_that_exist():
+    # every test and criterion that the "Paper claims" table cites
+    text = README.read_text(encoding="utf-8")
+    start = text.index("\n## Paper claims\n")
+    table = text[start : text.index("\n## ", start + 1)]
+    tests = README.parent.glob("tests/*.py")
+    sources = "".join(path.read_text(encoding="utf-8") for path in tests)
+    cited = re.findall(r"`(test_\w+)`", table)
+    criteria = re.findall(r"criterion (\d\d)", table)
+    assert len(cited) >= 2 and len(criteria) >= 8
+    for name in cited:
+        assert f"def {name}(" in sources, name
+    for number in criteria:
+        assert f"def test_criterion_{number}_" in sources, number

@@ -270,6 +270,37 @@ def test_each_capped_route_refuses_a_few_wide_moduli_before_any_work(
     assert "_tree" not in vars(base)
 
 
+@pytest.mark.parametrize("r", [1, 8192])
+def test_prob_charges_the_coefficient_bound_before_any_work(monkeypatch, r):
+    # the forms are as wide as the base's words and the bound's together; on
+    # 8192 primes a 4,299-digit bound took 1.60 s against the budget's 1.3 s
+    monkeypatch.setattr(ROUTES, "_first_coprime_draw", _stand_in("prob"))
+    moduli = prime_base(r).moduli
+    bits = [m.bit_length() for m in moduli]
+    t, w = sum(bits) // 64, max(bits) // 64
+    words = 0  # the widest bound, in whole words, that the rule admits
+    while ROUTES._cost("prob", r, t + words + 1, w) <= ROUTES.COST_BUDGET:
+        words += 1
+    inside, past = 1 << 64 * words, 1 << 64 * (words + 1)
+    base = ModuliBase(moduli)
+    vector = CrrVector(base, (0,) * r)
+    cost = ROUTES._cost("prob", r, t + words + 1, w)
+    message = (
+        f"prob on {r} moduli costs {cost} units, "
+        f"above the budget of {ROUTES.COST_BUDGET}"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        probabilistic_reconstruct(vector, random.Random(0), past)
+    assert "_tree" not in vars(base)
+    with pytest.raises(Reached):
+        probabilistic_reconstruct(vector, random.Random(0), inside)
+    # the default bound is charged from r and the bits, with no product: it
+    # stays under max(2**16, 64 * (r + total bits)), less than a word here
+    assert default_n2_bound(base) <= max(1 << 16, 64 * (r + sum(bits))) < 1 << 63
+    with pytest.raises(Reached):
+        probabilistic_reconstruct(vector, random.Random(0))
+
+
 def test_one_cost_rule_admits_every_size_the_count_caps_did():
     # the count caps it replaced: garner 2048 moduli, sequential and prob 8192
     assert largest_affordable_prime_base("garner") == 2048
@@ -373,9 +404,9 @@ def test_sequential_walk_stays_word_sized_at_r_4096():
 
 
 def test_sequential_memory_is_linear_at_r_2048():
-    """The walk keeps r weights, the prefix and one remainder per leaf, about
-    0.1 MiB at r = 2048 on top of the base's product tree.  Keeping the
-    r - 1 Bezout pairs, O(r^2) bits, peaked at 3.3 MiB there."""
+    """The walk keeps r weights, the prefix and one leaf-sized product per
+    modulus, about 0.2 MiB at r = 2048 on top of the base's product tree.
+    Keeping the r - 1 Bezout pairs, O(r^2) bits, peaked at 3.3 MiB there."""
     base = prime_base(2048)
     base._tree  # the base's, built once and kept; not the route's
     tracing = tracemalloc.is_tracing()
@@ -391,6 +422,23 @@ def test_sequential_memory_is_linear_at_r_2048():
             tracemalloc.stop()
     assert coeffs.egcd_calls == 2047
     assert peak < 0.5 * 2**20
+
+
+@pytest.mark.parametrize("r", [1, 31, 32, 33, 65, 192])
+def test_sequential_back_walk_reuses_the_forward_products(monkeypatch, r):
+    # one running product R_{i-1} per leaf, taken forward; the back walk
+    # reads the kept R_{i-1} * (P_s mod m_i) and rebuilds none of them
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return itertools.accumulate(*args, **kwargs)
+
+    base = ModuliBase(prime_base(r).moduli)
+    monkeypatch.setattr(ROUTES, "accumulate", counted)
+    coeffs = sequential_coefficients(base)
+    assert len(calls) == len(base._tree.chunks)
+    assert coeffs.weights == classical_coefficients(base).weights
 
 
 # --- Garner baseline ---

@@ -204,6 +204,22 @@ def test_parse_round_trip_random_vectors():
         assert parse(serialize(vector)) == vector
 
 
+@pytest.mark.parametrize("r", [1, 2, 31, 32, 33, 192])
+def test_a_parsed_base_formats_to_its_own_line(r):
+    # the line that passed the parser is canonical, so it is reused as the
+    # line format_base_line would write for the same moduli
+    fresh = ModuliBase(prime_base(r).moduli)
+    line = format_base_line(fresh)
+    text = serialize(encode(r * r + 1, fresh))
+    for parsed in (parse_base_line(line), parse_base_line(line + "\n")):
+        assert format_base_line(parsed) == line
+        assert format_base_line(parsed) is vars(parsed)["_line"]
+    vector = parse(text)
+    assert format_base_line(vector.base) is vars(vector.base)["_line"]
+    assert serialize(vector) == text
+    assert "_line" not in vars(fresh)
+
+
 def test_parse_rejects_bad_magic():
     with pytest.raises(ParseError) as info:
         parse("CRR2\nbase 1 5\nres 1\n")
@@ -418,6 +434,21 @@ def test_formatters_past_the_digit_limit_keep_the_interpreters_error():
         format_base_line(wide)
     with pytest.raises(ValueError, match="Exceeds the limit"):
         serialize(encode(3, wide))
+
+
+def test_a_parsed_base_formats_past_the_digit_limit():
+    # parsed under a raised limit, as the command line does, then formatted
+    # under the default one: the kept line needs no str()
+    line = f"base 2 7 {PAST_LIMIT}"
+    sys.set_int_max_str_digits(LIMIT + 1)
+    try:
+        base = parse_base_line(line)
+    finally:
+        sys.set_int_max_str_digits(LIMIT)
+    assert format_base_line(base) == line
+    assert serialize(CrrVector(base, (3, 0))) == f"CRR1\n{line}\nres 3 0\n"
+    with pytest.raises(ValueError, match="Exceeds the limit"):
+        format_base_line(ModuliBase(base.moduli))
 
 
 def test_over_long_count_and_residue_are_parse_errors():
