@@ -23,9 +23,9 @@ from typing import NamedTuple
 from .errors import CrrError, ParseError, PrimeLimitError, excerpt
 from .moduli import pairwise_coprime, prime_base, prime_base_chunks
 from .reconstruct import (
-    check_form_bounds,
     classical_coefficients,
     coprime_form_stats,
+    default_n2_bound,
     garner_converter,
     probabilistic_reconstruct,
     reconstruct,
@@ -336,17 +336,15 @@ def _cmd_prob_stats(args) -> int:
     bound_bits = (args.n2_bound or 0).bit_length()
     require_affordable("prob-stats", args.r, bound_bits, runs=args.trials)
     base = prime_base(args.r)
-    bound = check_form_bounds(base, args.n2_bound, args.max_attempts)
-    trials = args.trials
     first_hits, attempts, exhausted = coprime_form_stats(
-        base, random.Random(args.seed), trials, bound, args.max_attempts
+        base, random.Random(args.seed), args.trials, args.n2_bound, args.max_attempts
     )
     print(f"r {args.r}")
-    print(f"trials {trials}")
+    print(f"trials {args.trials}")
     print(f"seed {args.seed}")
-    print(f"n2_bound {bound}")
-    print(f"coprime_fraction {first_hits / trials:.6f}")
-    print(f"mean_attempts {attempts / trials:.6f}")
+    print(f"n2_bound {args.n2_bound or default_n2_bound(base)}")
+    print(f"coprime_fraction {first_hits / args.trials:.6f}")
+    print(f"mean_attempts {attempts / args.trials:.6f}")
     print(f"exhausted {exhausted}")
     print(f"reference {REFERENCE_COPRIME_RATE:.6f}")
     return 0
@@ -481,7 +479,7 @@ def _cmd_selftest(args) -> int:
 def _self_moduli():
     base = prime_base(8)
     _ensure(base.moduli == (5, 7, 11, 13, 17, 19, 23, 29), "unexpected prime base")
-    _ensure(pairwise_coprime(base), "prime base not coprime")
+    _ensure(pairwise_coprime(base.moduli), "prime base not coprime")
 
 
 def _self_telescoping(coefficients):

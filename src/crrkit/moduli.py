@@ -156,6 +156,10 @@ class ModuliBase:
     def product(self) -> int:
         return self._tree.levels[-1][0]
 
+    @cached_property
+    def _coprime(self) -> bool:
+        return self._tree.pairwise_coprime()
+
     @classmethod
     def from_moduli(cls, moduli) -> "ModuliBase":
         base = cls(moduli)
@@ -273,23 +277,26 @@ class _ProductTree:
 def pairwise_coprime(moduli) -> bool:
     """True iff every pair of the given moduli has gcd 1.
 
-    Checked on the base's product tree; a plain sequence becomes a transient
-    :class:`ModuliBase` first, so each modulus must be an int >= 2.
+    Walked once per base, on its product tree; a plain sequence becomes a
+    transient :class:`ModuliBase` first, so each modulus must be an int >= 2.
     """
     if not isinstance(moduli, ModuliBase):
         moduli = ModuliBase(moduli)
-    return moduli._tree.pairwise_coprime()
+    return moduli._coprime
 
 
 def prime_base(count: int) -> ModuliBase:
     """Base of ``count`` consecutive primes starting at 5 (skipping 2 and 3).
 
     Each call builds a new base, with a product tree of its own, so a caller
-    that decodes many vectors keeps the base it made.
+    that decodes many vectors keeps the base it made.  Primes are coprime, so
+    the base carries that verdict and is never walked.
     """
     count = require_positive(count, "count")
     nth_prime(count + 2)  # checks the ceiling and sieves far enough
-    return ModuliBase(tuple(_primes[2 : count + 2]))
+    base = ModuliBase(tuple(_primes[2 : count + 2]))
+    vars(base)["_coprime"] = True
+    return base
 
 
 # Primes per slice of :func:`prime_base_chunks`: 16 KiB of the sieve cache.

@@ -336,14 +336,12 @@ def default_n2_bound(base: ModuliBase) -> int:
     return max(1 << 16, 64 * (len(base.moduli) + log_product))
 
 
-def check_form_bounds(base: ModuliBase, n2_bound: int | None, max_attempts: int) -> int:
-    """Reject draw bounds under which no attempt is made or none can succeed.
+def _form_bounds(base: ModuliBase, rng, n2_bound: int | None, max_attempts: int):
+    """``n2_bound``, or ``default_n2_bound(base)`` for None, checked with the rest.
 
-    Returns ``n2_bound``, or ``default_n2_bound(base)`` when it is None.  With
-    more than one modulus, ``n2_bound`` 1 forces s == t, so the two forms are
-    equal and larger than 1, never coprime.  The draw takes the bit length of
-    ``n2_bound`` and counts attempts up to ``max_attempts``, so both must be
-    ints.
+    Refuses what rules out a draw or a success: with r > 1, n2_bound 1 makes
+    s == t, and a prime shared by two moduli divides every form.  A base that
+    nothing has checked is walked for coprimality here, once.
     """
     if n2_bound is None:
         n2_bound = default_n2_bound(base)
@@ -354,6 +352,10 @@ def check_form_bounds(base: ModuliBase, n2_bound: int | None, max_attempts: int)
             "n2_bound must be at least 2 for more than one modulus: "
             "with 1 the two forms are always equal and never coprime"
         )
+    if not callable(getattr(rng, "getrandbits", None)):
+        raise type_error(rng, "rng", "a generator with a getrandbits method")
+    if not pairwise_coprime(base):
+        raise ValueError("moduli share a factor, which divides every linear form")
     return n2_bound
 
 
@@ -378,7 +380,7 @@ def _first_coprime_draw(base: ModuliBase, rng, n2_bound: int, max_attempts: int)
 
     Returns (attempt, s, t, form_s, form_t) for the first coprime draw, or
     None once max_attempts draws have failed.  The caller resolves and checks
-    the bounds with :func:`check_form_bounds` first.
+    the bounds and the base with :func:`_form_bounds` first.
     """
     r = len(base.moduli)
     tree = base._tree
@@ -423,8 +425,9 @@ def probabilistic_reconstruct(
     (u*s_i + v*t_i) * product / m_i is 1 mod m_i, so x is u * sum(x_i * s_i *
     product / m_i) + v * sum(x_i * t_i * product / m_i), mod the product.
 
-    Once every attempt fails: ValueError if the moduli share a factor, which
-    divides every cofactor and so every form; else AttemptsExhaustedError.
+    ValueError before any draw if the moduli share a factor, which divides
+    every form; a base that nothing has checked is walked once for that.
+    AttemptsExhaustedError once every attempt fails.
     """
     base = require_vector(vector).base
     bits = list(map(int.bit_length, base.moduli))
@@ -434,12 +437,9 @@ def probabilistic_reconstruct(
         bound_bits = require_positive(n2_bound, "n2_bound").bit_length()
     # the forms' words: the base's and the coefficient bound's
     require_affordable("prob", len(bits), sum(bits) + (bound_bits >> 6 << 6))
-    _require_rng(rng)
-    n2_bound = check_form_bounds(base, n2_bound, max_attempts)
+    n2_bound = _form_bounds(base, rng, n2_bound, max_attempts)
     found = _first_coprime_draw(base, rng, n2_bound, max_attempts)
     if found is None:
-        if not pairwise_coprime(base):
-            raise ValueError("moduli share a factor, which divides every linear form")
         raise AttemptsExhaustedError(max_attempts, n2_bound)
     attempt, s, t, form_s, form_t = found
     u, v = _bezout_pair(form_s, form_t)
@@ -463,14 +463,13 @@ def coprime_form_stats(
     """``trials`` coprime-form trials in turn, all drawn from ``rng``.
 
     Each trial draws form pairs as :func:`probabilistic_reconstruct` does,
-    until their sums are coprime.  The bounds, ``trials``, an int of at
-    least 1, and ``rng`` are checked once, before the first draw.  Returns
-    (first-draw hits, total attempts, exhausted trials); an exhausted trial
-    counts ``max_attempts`` attempts.
+    until their sums are coprime.  The same checks, with ``trials`` an int of
+    at least 1, come before the first draw: a base that nothing has checked
+    is walked once.  Returns (first-draw hits, total attempts, exhausted
+    trials); an exhausted trial counts ``max_attempts`` attempts.
     """
-    n2_bound = check_form_bounds(require_base(base), n2_bound, max_attempts)
     require_positive(trials, "trials")
-    _require_rng(rng)
+    n2_bound = _form_bounds(require_base(base), rng, n2_bound, max_attempts)
     hits = attempts_total = exhausted = 0
     for _ in range(trials):
         found = _first_coprime_draw(base, rng, n2_bound, max_attempts)
@@ -493,9 +492,3 @@ def _require_one_per_modulus(values: tuple, what: str, base: ModuliBase):
     r, n = len(base), len(values)
     if n != r:
         raise ValueError(f"expected {r} {what}, one per modulus, not {n}")
-
-
-def _require_rng(rng):
-    """TypeError unless ``rng`` has the ``getrandbits`` that every draw calls."""
-    if not callable(getattr(rng, "getrandbits", None)):
-        raise type_error(rng, "rng", "a generator with a getrandbits method")

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import crrkit.moduli
 from crrkit import (
     AttemptsExhaustedError,
     BaseMismatchError,
@@ -26,10 +27,13 @@ from crrkit import (
     encode,
     garner_converter,
     nth_prime,
+    pairwise_coprime,
+    parse,
     prime_base,
     probabilistic_reconstruct,
     reconstruct,
     sequential_coefficients,
+    serialize,
 )
 from crrkit import cli
 from crrkit.reconstruct import _bezout_pair, _draw_coefficients
@@ -772,22 +776,70 @@ def test_probabilistic_exhaustion():
     assert info.value.attempts == 5
 
 
-def test_prob_route_on_a_shared_factor_base_says_so(monkeypatch):
-    # 2 divides 6 and 10 and so every cofactor: no two forms are ever coprime
-    vector = encode(17, ModuliBase((6, 35, 11, 10)))
-    rng, oracle = random.Random(1), random.Random(1)
-    with pytest.raises(ValueError, match="^moduli share a factor"):
-        probabilistic_reconstruct(vector, rng)
-    # it spent all 64 attempts before it looked at the base
-    with pytest.raises(AttemptsExhaustedError):
-        reference_probabilistic_reconstruct(vector, oracle)
-    assert rng.getstate() == oracle.getstate()
-    # a successful decode never checks the base
-    checked = []
-    module = sys.modules["crrkit.reconstruct"]
-    monkeypatch.setattr(module, "pairwise_coprime", checked.append)
-    probabilistic_reconstruct(encode(17, prime_base(4)), random.Random(1))
-    assert checked == []
+# 2 divides 6 and 10 and so every cofactor: no two forms are ever coprime
+SHARED_FACTOR_BASE = ModuliBase((6, 35, 11, 10))
+
+
+def _no_draw(*args):
+    raise AssertionError("a draw was made")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(
+            lambda rng: probabilistic_reconstruct(
+                encode(17, SHARED_FACTOR_BASE), rng, max_attempts=10**9
+            ),
+            id="probabilistic_reconstruct",
+        ),
+        pytest.param(
+            lambda rng: coprime_form_stats(SHARED_FACTOR_BASE, rng, 3, max_attempts=10**9),
+            id="coprime_form_stats",
+        ),
+    ],
+)
+def test_prob_route_on_a_shared_factor_base_says_so_before_any_draw(monkeypatch, call):
+    # with the check after the attempts, 10**9 of them would run for days
+    monkeypatch.setattr(sys.modules["crrkit.reconstruct"], "_draw_coefficients", _no_draw)
+    rng = random.Random(1)
+    state = rng.getstate()
+    message = "^moduli share a factor, which divides every linear form$"
+    with pytest.raises(ValueError, match=message):
+        call(rng)
+    assert rng.getstate() == state
+
+
+def test_a_base_is_walked_for_coprimality_at_most_once(monkeypatch):
+    walks = []
+    walk = crrkit.moduli._ProductTree.pairwise_coprime
+    monkeypatch.setattr(
+        crrkit.moduli._ProductTree,
+        "pairwise_coprime",
+        lambda tree: walks.append(tree) or walk(tree),
+    )
+
+    def decode_and_check(base, vector):
+        probabilistic_reconstruct(vector, random.Random(1))
+        coprime_form_stats(base, random.Random(2), 3)
+        return pairwise_coprime(base)
+
+    # consecutive primes carry their verdict and are never walked
+    generated = prime_base(5)
+    assert decode_and_check(generated, encode(17, generated))
+    assert walks == []
+    # a parsed base is walked by the parse and never again
+    vector = parse(serialize(encode(17, generated)))
+    assert len(walks) == 1
+    assert decode_and_check(vector.base, vector)
+    assert len(walks) == 1
+    checked = ModuliBase.from_moduli((9, 10, 7))
+    assert decode_and_check(checked, encode(17, checked))
+    assert len(walks) == 2
+    # an unchecked base is walked by its first draw's checks
+    unchecked = ModuliBase((9, 10, 7))
+    assert decode_and_check(unchecked, encode(17, unchecked))
+    assert len(walks) == 3
 
 
 # --- messages that quote an int of up to, or one past, the int <-> str limit ---
