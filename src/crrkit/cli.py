@@ -336,13 +336,14 @@ def _cmd_prob_stats(args) -> int:
     bound_bits = (args.n2_bound or 0).bit_length()
     require_affordable("prob-stats", args.r, bound_bits, runs=args.trials)
     base = prime_base(args.r)
+    n2_bound = args.n2_bound or default_n2_bound(base)
     first_hits, attempts, exhausted = coprime_form_stats(
-        base, random.Random(args.seed), args.trials, args.n2_bound, args.max_attempts
+        base, random.Random(args.seed), args.trials, n2_bound, args.max_attempts
     )
     print(f"r {args.r}")
     print(f"trials {args.trials}")
     print(f"seed {args.seed}")
-    print(f"n2_bound {args.n2_bound or default_n2_bound(base)}")
+    print(f"n2_bound {n2_bound}")
     print(f"coprime_fraction {first_hits / args.trials:.6f}")
     print(f"mean_attempts {attempts / args.trials:.6f}")
     print(f"exhausted {exhausted}")
@@ -405,11 +406,8 @@ def check_roundtrip(base, rng, trials: int):
 
 
 def check_egcd_counts(r: int):
-    """The call-count laws on the first r primes, also as --stats reports them."""
+    """The call-count laws on the first r primes, as --stats reports them."""
     base = prime_base(r)
-    _ensure(classical_coefficients(base).egcd_calls == r, "classical count")
-    _ensure(sequential_coefficients(base).egcd_calls == r - 1, "sequential count")
-    _ensure(garner_converter(base).egcd_calls == r * (r - 1) // 2, "garner count")
     # the calls that build each route's weights or converter, then prob's one
     # per attempt: the egcd_calls that decode --stats prints
     vector = encode(base.product - 1, base)

@@ -13,7 +13,7 @@ The pipeline for n-bit operands:
    numerator product that nothing reads.  The sum is an exact rational
    that underapproximates the scaled reciprocal within 2**-n;
 4. multiply through and floor: the candidate quotient is exact or one short,
-   settled by a single comparison against the dividend.
+   settled by the one remainder x - candidate * y.
 
 All rationals are kept exact; every one-sided bound is asserted, not assumed.
 The fixed "strict" layout uses floor(n**2 / log2 n) + 3n moduli in groups of
@@ -174,9 +174,8 @@ def build_scaler(y: int, base: ModuliBase) -> Scaler:
         j += 1
     if j == len(moduli):
         raise ValueError("moduli base too short to bracket the divisor")
-    k = 1
-    while (prefix << k) <= y:
-        k += 1
+    # the least k with prefix * 2**k > y: 2**k > y // prefix >= 1
+    k = (y // prefix).bit_length()
     value = prefix << k
     if not y < value <= 2 * y:
         raise RuntimeError("scaler window violated")
@@ -337,8 +336,8 @@ def divide(x: int, y: int, n: int, mode: str = "adaptive") -> DivideResult:
 
     x == 0 and y == 1 return immediately without a plan.  Otherwise the plan's
     series gives a candidate floor(x * series / scale) that is the quotient or
-    one short; the exact comparison against x settles which, and anything else
-    is an internal error.
+    one short; the remainder x - candidate * y settles which, and anything
+    else is an internal error.
     """
     x = _require_int(x, "dividend")
     y = _require_int(y, "divisor")
@@ -357,10 +356,8 @@ def divide(x: int, y: int, n: int, mode: str = "adaptive") -> DivideResult:
     numerator, denominator = plan.series
     scale = plan.scaler.value
     candidate = x * numerator // (denominator * scale)
-    if candidate * y <= x < (candidate + 1) * y:
-        quotient, corrected = candidate, False
-    elif (candidate + 1) * y <= x < (candidate + 2) * y:
-        quotient, corrected = candidate + 1, True
-    else:
+    rest = x - candidate * y
+    if not 0 <= rest < 2 * y:
         raise RuntimeError("candidate quotient off by more than one")
-    return DivideResult(quotient, corrected, plan)
+    corrected = rest >= y
+    return DivideResult(candidate + corrected, corrected, plan)

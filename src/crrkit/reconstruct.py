@@ -36,8 +36,9 @@ more combines and two form-sized products).
 
 Every route but the classical one refuses a base whose cost, read from r,
 its total bits and its widest modulus (for the random route, its total and
-its coefficient bound's bits), is past ``COST_BUDGET``, with a ValueError
-before any other work; the command line prints that message as it is.
+an explicit coefficient bound's whole words), is past ``COST_BUDGET``, with
+a ValueError before any other work; the command line prints that message as
+it is.
 """
 
 import math
@@ -113,10 +114,11 @@ def require_affordable(command: str, r: int, bits: int, widest=0, runs=1):
         )
 
 
-def _require_base_affordable(command: str, base: ModuliBase):
-    """The type of ``base``, then ``command``'s cost on its r, total and widest bits."""
+def _require_base_affordable(command: str, base: ModuliBase, extra_words=0):
+    """The type of ``base``, then ``command``'s cost on its r, total and widest
+    bits, the total grown by ``extra_words`` whole words."""
     bits = list(map(int.bit_length, require_base(base).moduli))
-    require_affordable(command, len(bits), sum(bits), max(bits))
+    require_affordable(command, len(bits), sum(bits) + (extra_words << 6), max(bits))
 
 
 class CrtCoefficients(NamedTuple):
@@ -430,13 +432,12 @@ def probabilistic_reconstruct(
     AttemptsExhaustedError once every attempt fails.
     """
     base = require_vector(vector).base
-    bits = list(map(int.bit_length, base.moduli))
-    if n2_bound is None:  # default_n2_bound's ceiling, with no product: ln M < bits
-        bound_bits = max(1 << 16, 64 * (len(bits) + sum(bits))).bit_length()
-    else:
+    # the forms' words: the base's and the coefficient bound's; the default
+    # bound, at most max(2**16, 64 * (r + total bits)), stays under one word
+    bound_bits = 0
+    if n2_bound is not None:
         bound_bits = require_positive(n2_bound, "n2_bound").bit_length()
-    # the forms' words: the base's and the coefficient bound's
-    require_affordable("prob", len(bits), sum(bits) + (bound_bits >> 6 << 6))
+    _require_base_affordable("prob", base, bound_bits >> 6)
     n2_bound = _form_bounds(base, rng, n2_bound, max_attempts)
     found = _first_coprime_draw(base, rng, n2_bound, max_attempts)
     if found is None:

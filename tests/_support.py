@@ -200,6 +200,22 @@ def bisect_scaler(y: int, prefix: tuple[int, ...]) -> Scaler:
     return Scaler(j, k, prefix[j] << k)
 
 
+def doubling_scaler(y: int, base: ModuliBase) -> Scaler:
+    """Scaler by walking the prefix, then doubling it until it passes y
+    (reference for build_scaler's exponent, read off y // prefix)."""
+    moduli = base.moduli
+    j, prefix = 0, 1
+    while j < len(moduli) and prefix * moduli[j] <= y:
+        prefix *= moduli[j]
+        j += 1
+    if j == len(moduli):
+        raise ValueError("moduli base too short to bracket the divisor")
+    k = 1
+    while (prefix << k) <= y:
+        k += 1
+    return Scaler(j, k, prefix << k)
+
+
 # --- extended-gcd references for the routes that invert through pow ---
 
 

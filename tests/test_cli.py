@@ -508,6 +508,23 @@ def test_div_strict_64(capsys):
     assert rows[-1] == "verify ok"
 
 
+def test_div_verify_reports_a_wrong_quotient(capsys, monkeypatch):
+    argv = ("div", "--x", "100", "--y", "7", "--n", "8", "--verify")
+    code, good, _ = run(capsys, *argv)
+    assert code == 0 and lines_of(good)[-1] == "verify ok"
+    division = sys.modules["crrkit.division"]
+    divide = division.divide
+
+    def off_by_one(*args):
+        result = divide(*args)
+        return result._replace(quotient=result.quotient + 1)
+
+    monkeypatch.setattr(division, "divide", off_by_one)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (3, "verify mismatch\n")
+    assert lines_of(out) == ["q 15", *lines_of(good)[1:-1]]
+
+
 def test_div_correction_row(capsys):
     code, out, _ = run(capsys, "div", "--x", "100", "--y", "10", "--n", "8")
     assert code == 0
@@ -872,25 +889,48 @@ def test_check_bound_rejects_bad_range(capsys):
 # --- selftest ---
 
 
+# each selftest stage, in order, and the function in crrkit.cli that it calls
+SELFTEST_STAGES = (
+    ("moduli", "_self_moduli"),
+    ("roundtrip", "check_roundtrip"),
+    ("egcd_counts", "check_egcd_counts"),
+    ("telescoping", "_self_telescoping"),
+    ("serialization", "_self_serialization"),
+    ("division", "_self_division"),
+    ("division_strict", "_self_division_strict"),
+    ("group_bound", "check_group_bound"),
+    ("linear_forms", "check_coprime_rate"),
+)
+
+
 def test_selftest_passes(capsys):
     code, out, err = run(capsys, "selftest")
     assert code == 0
     assert err == ""
     rows = lines_of(out)
     assert rows[0] == "seed 0"
-    for name in (
-        "moduli",
-        "roundtrip",
-        "egcd_counts",
-        "telescoping",
-        "serialization",
-        "division",
-        "division_strict",
-        "group_bound",
-        "linear_forms",
-    ):
+    for name, _ in SELFTEST_STAGES:
         assert f"selftest {name} ok" in rows
     assert rows[-1] == "selftest pass"
+
+
+@pytest.mark.parametrize(
+    "index, error",
+    zip(
+        range(len(SELFTEST_STAGES)),
+        itertools.cycle((CrrError, RuntimeError, ValueError)),
+    ),
+)
+def test_selftest_stops_at_the_first_failing_stage(capsys, monkeypatch, index, error):
+    def failing(*args):
+        raise error("planted")
+
+    stage, check = SELFTEST_STAGES[index]
+    monkeypatch.setattr(cli, check, failing)
+    code, out, err = run(capsys, "selftest", "--seed", "7")
+    assert (code, err) == (3, f"selftest {stage} FAIL: planted\n")
+    passed = [f"selftest {name} ok" for name, _ in SELFTEST_STAGES[:index]]
+    assert lines_of(out) == ["seed 7", *passed]
 
 
 def test_selftest_deterministic(capsys):

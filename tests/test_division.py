@@ -2,15 +2,19 @@
 
 import gc
 import math
+import operator
 import random
 import re
 import sys
 import tracemalloc
+import types
 import weakref
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate, takewhile
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from crrkit import (
@@ -38,6 +42,7 @@ from crrkit.division import (
 from _support import (
     UnderApprox,
     bisect_scaler,
+    doubling_scaler,
     prefix_products,
     reference_floor_div_log2,
     reference_horner_series,
@@ -96,6 +101,25 @@ def test_near_tie_falls_back_to_exact_powers(monkeypatch):
     for n in (*range(4, 130), 255, 257, 1000):
         for value in (n, n * n, 5 * n + 1):
             assert _floor_div_log2(value, n) == reference_floor_div_log2(value, n)
+
+
+@pytest.mark.parametrize("shift", (0.01, -0.01))
+def test_exact_fallback_corrects_a_wrong_float_floor(monkeypatch, shift):
+    # a margin of 1 sends every quotient to the exact powers, and a log2
+    # shifted by 0.01 starts them from a floor too low (+) or too high (-),
+    # so one loop or the other must move k to the largest n**k <= 2**value
+    shifted = types.SimpleNamespace(**vars(math))
+    shifted.log2 = lambda x: math.log2(x) + shift
+    monkeypatch.setattr(division, "math", shifted)
+    monkeypatch.setattr(division, "_TIE_MARGIN", 1.0)
+    moved = 0
+    for n in range(4, 301):
+        k = group_size(n)
+        assert n**k <= 1 << n < n ** (k + 1)
+        k = strict_moduli_count(n) - 3 * n
+        assert n**k <= 1 << (n * n) < n ** (k + 1)
+        moved += math.floor(n * n / shifted.log2(n)) != k
+    assert moved > 200
 
 
 def test_strict_count_past_prime_ceiling_fails_before_exact_power():
@@ -177,6 +201,41 @@ def test_build_scaler_matches_bisect_oracle():
         ys.update(p + d for p in prefix if p < 1 << n for d in (-1, 0, 1))
         for y in sorted(y for y in ys if 2 <= y < 1 << n):
             assert build_scaler(y, base) == bisect_scaler(y, prefix)
+
+
+@lru_cache(maxsize=1)
+def layout_base(n: int, mode: str):
+    """The prime base of ``mode``'s layout at bit size n, as divide sieves it."""
+    if mode == "strict":
+        return prime_base(strict_moduli_count(n))
+    return prime_base(n + (n + 1) * adaptive_group_size(n))
+
+
+def test_build_scaler_matches_the_doubling_oracle_on_every_small_divisor():
+    for n in range(4, 17):
+        for mode in ("strict", "adaptive"):
+            base = layout_base(n, mode)
+            for y in range(2, 1 << n):
+                assert build_scaler(y, base) == doubling_scaler(y, base)
+
+
+@pytest.mark.parametrize("mode", ("strict", "adaptive"))
+@pytest.mark.parametrize("n", (64, 128, 2048))
+@settings(deadline=None)
+@given(data=st.data())
+def test_build_scaler_matches_the_doubling_oracle_at_large_n(n, mode, data):
+    base = layout_base(n, mode)
+    if data.draw(st.booleans(), label="near a window edge"):
+        # a prefix product times a power of two, or next to one
+        below = (1 << n).__gt__
+        edges = list(takewhile(below, accumulate(base.moduli, operator.mul)))
+        y = data.draw(st.sampled_from(edges)) << data.draw(st.integers(0, 8))
+        y += data.draw(st.sampled_from((-1, 0, 1)))
+        assume(2 <= y < 1 << n)
+    else:
+        bits = data.draw(st.integers(2, n), label="bits")
+        y = data.draw(st.integers(1 << (bits - 1), (1 << bits) - 1), label="y")
+    assert build_scaler(y, base) == doubling_scaler(y, base)
 
 
 def test_build_scaler_rejects():
